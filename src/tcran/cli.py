@@ -35,7 +35,7 @@ from .errors import (
     TcranError,
     ValidationError,
 )
-from .scenario import gen_random_scenario, load_scenario, render_scenario
+from .scenario import check_time, gen_random_scenario, load_scenario, render_scenario
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -101,26 +101,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_horizon(args: argparse.Namespace) -> float | None:
-    if args.horizon is not None:
-        return args.horizon
+    horizon = args.horizon
     env = os.environ.get("TCRAN_HORIZON")
-    return float(env) if env else None
+    if horizon is None and env:
+        try:
+            horizon = float(env)
+        except ValueError:
+            raise ValidationError(f"TCRAN_HORIZON={env!r} is not a number") from None
+    if horizon is not None:
+        check_time("horizon", horizon)
+    return horizon
 
 
 def _execute(scn, seed: int, horizon: float | None, mutations=()):
     """Run one scenario; returns (report|None, trace, safety error|None)."""
-    saved = set(P.MUTATIONS)
-    P.MUTATIONS.clear()
-    P.MUTATIONS.update(mutations)
+    eng = Engine(scn, seed, horizon=horizon, mutations=mutations)
     try:
-        eng = Engine(scn, seed, horizon=horizon)
-        try:
-            return eng.run(), eng.trace, None
-        except SafetyViolation as e:
-            return None, eng.trace, e
-    finally:
-        P.MUTATIONS.clear()
-        P.MUTATIONS.update(saved)
+        return eng.run(), eng.trace, None
+    except SafetyViolation as e:
+        return None, eng.trace, e
 
 
 def _text_report(title: str, seed: int, rep: RunReport) -> str:
@@ -319,6 +318,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.fuzz is not None:
             return cmd_fuzz(args)
         return cmd_run(args)
+    except ValidationError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_PARSE
     except TcranError as e:
         # Anything not mapped above is a bug surfacing; make it loud but typed.
         print(f"unexpected failure: {type(e).__name__}: {e}", file=sys.stderr)

@@ -2,58 +2,32 @@
 
 Credit is the conserved quantity of the whole protocol: every split,
 transfer and merge has to balance to the last digit, so values are
-arbitrary-precision rationals and never floats.  Two interchangeable
-backends are supported: ``gmpy2.mpq`` when importable (C-backed, roughly
-7x faster on protocol-shaped workloads, see benchmarks/bench_credit.py)
-and ``fractions.Fraction`` from the stdlib.  Set
-``TCRAN_CREDIT_BACKEND=gmpy2|fractions`` to force one.
+``fractions.Fraction`` rationals and never floats.
 
 Credits serialize as ``"num/den"`` strings (``"9/10"``), or just
-``"num"`` when the denominator is 1.  Negative values are rejected
-everywhere: subtraction below zero raises instead of wrapping.
+``"num"`` when the denominator is 1.  The constructor and the parser
+reject negative values.
 """
 
 from __future__ import annotations
 
-import os
 import re
-from typing import Callable, Iterable
+from fractions import Fraction
+from typing import Iterable
 
 from .errors import NegativeCredit, ZeroCredit
 
-_requested = os.environ.get("TCRAN_CREDIT_BACKEND", "")
-if _requested not in ("", "gmpy2", "fractions"):
-    raise ImportError(
-        f"TCRAN_CREDIT_BACKEND={_requested!r}: expected 'gmpy2' or 'fractions'"
-    )
+BACKEND = "fractions"
 
-if _requested == "fractions":
-    from fractions import Fraction as _Rat
+Credit = Fraction
 
-    BACKEND = "fractions"
-else:
-    try:
-        from gmpy2 import mpq as _Rat  # type: ignore[import-not-found]
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _requested == "gmpy2":
-            raise
-        from fractions import Fraction as _Rat
-
-        BACKEND = "fractions"
-
-# Both backends expose .numerator/.denominator and exact +,-,*,/ with
-# automatic normalization; everything below relies only on that surface.
-Credit = _Rat
-
-ZERO: Credit = _Rat(0)
-ONE: Credit = _Rat(1)
+ZERO: Credit = Fraction(0)
+ONE: Credit = Fraction(1)
 
 
 def credit(num: int, den: int = 1) -> Credit:
     """Build an exact credit from an integer numerator/denominator pair."""
-    c = _Rat(num, den)
+    c = Fraction(num, den)
     if c < 0:
         raise NegativeCredit(f"credit {num}/{den} is negative")
     return c
@@ -75,7 +49,7 @@ def parse_credit(text: str) -> Credit:
     den = int(m.group(2)) if m.group(2) else 1
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    return _Rat(num, den)
+    return Fraction(num, den)
 
 
 def render_credit(c: Credit) -> str:
@@ -85,19 +59,6 @@ def render_credit(c: Credit) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def credit_add(a: Credit, b: Credit) -> Credit:
-    return a + b
-
-
-def credit_sub(a: Credit, b: Credit) -> Credit:
-    """Exact difference; raises instead of going negative."""
-    if b > a:
-        raise NegativeCredit(
-            f"{render_credit(a)} - {render_credit(b)} would be negative"
-        )
-    return a - b
-
-
 def credit_sum(values: Iterable[Credit]) -> Credit:
     total = ZERO
     for v in values:
@@ -105,28 +66,8 @@ def credit_sum(values: Iterable[Credit]) -> Credit:
     return total
 
 
-def _split_equal(c: Credit, q: int) -> list[Credit]:
-    share = c / (q + 1)
-    return [share] * (q + 1)
-
-
-def _split_halving(c: Credit, q: int) -> list[Credit]:
-    # Retain half, split the remainder equally among the q recipients.
-    retained = c / 2
-    share = (c - retained) / q
-    return [retained] + [share] * q
-
-
-# Splits are pluggable; both built-ins guarantee sum == input exactly.
-SplitFn = Callable[[Credit, int], "list[Credit]"]
-SPLIT_STRATEGIES: dict[str, SplitFn] = {
-    "equal": _split_equal,
-    "halving": _split_halving,
-}
-
-
-def split_credit(c: Credit, q: int, strategy: str = "equal") -> list[Credit]:
-    """Split c into q+1 strictly positive parts that sum to c exactly.
+def split_credit(c: Credit, q: int) -> list[Credit]:
+    """Split c into q+1 equal, strictly positive parts that sum to c.
 
     Element 0 is the retained share; elements 1..q go to recipients.
     q == 0 returns [c] unchanged.  Splitting zero credit into positive
@@ -138,10 +79,4 @@ def split_credit(c: Credit, q: int, strategy: str = "equal") -> list[Credit]:
         return [c]
     if c == ZERO:
         raise ZeroCredit(f"cannot split zero credit among {q} recipients")
-    try:
-        fn = SPLIT_STRATEGIES[strategy]
-    except KeyError:
-        raise ValueError(f"unknown split strategy: {strategy!r}") from None
-    parts = fn(c, q)
-    assert len(parts) == q + 1 and sum(parts) == c  # strategy contract
-    return parts
+    return [c / (q + 1)] * (q + 1)

@@ -19,7 +19,7 @@ import heapq
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from . import checker
 from .channels import ChannelWorld
@@ -93,6 +93,7 @@ class Engine:
         seed: int,
         horizon: float | None = None,
         collect_trace: bool = True,
+        mutations: Iterable[str] = (),
     ):
         self.scn = scn
         self.seed = seed
@@ -102,6 +103,10 @@ class Engine:
             else (scn.horizon if scn.horizon is not None else DEFAULT_HORIZON)
         )
         self.collect_trace = collect_trace
+        self.mutations = frozenset(mutations)
+        unknown = sorted(self.mutations - set(P.KNOWN_MUTATIONS))
+        if unknown:
+            raise ValueError(f"unknown mutations {unknown}")
         self.tag = SessionTag(0, scn.start_node)
 
         self.nodes: dict[NodeId, NodeState] = {}
@@ -167,21 +172,25 @@ class Engine:
             probe = send.dst if send.dst is not None else (self._find_ce() or frm)
             at = self.now + self._delay_for(frm, probe, msg)
             cls = CLS_ACK if priority_class(msg) == 0 else CLS_MSG
-        self.inflight = self.inflight + msg.carried_credit()
-        if isinstance(msg, COM):
-            self.inflight_coms += 1
-        if isinstance(msg, ImPC) and msg.handover:
-            self.inflight_handover += 1
-        self._push(at, cls, "deliver", (send.dst, frm, msg))
+        self._launch(at, cls, send.dst, frm, msg)
 
     def inject(self, at: float, frm: NodeId, dst: NodeId | None, msg: Message):
         """Drop an arbitrary message into the network (tests, fuzzing)."""
-        self.inflight = self.inflight + msg.carried_credit()
+        self._launch(at, CLS_MSG, dst, frm, msg)
+
+    def _launch(
+        self, at: float, cls: int, dst: NodeId | None, frm: NodeId, msg: Message
+    ):
+        self._count_in_flight(msg, 1)
+        self._push(at, cls, "deliver", (dst, frm, msg))
+
+    def _count_in_flight(self, msg: Message, sign: int):
+        """A message is in flight from its launch until its delivery."""
+        self.inflight = self.inflight + sign * msg.carried_credit()
         if isinstance(msg, COM):
-            self.inflight_coms += 1
+            self.inflight_coms += sign
         if isinstance(msg, ImPC) and msg.handover:
-            self.inflight_handover += 1
-        self._push(at, CLS_MSG, "deliver", (dst, frm, msg))
+            self.inflight_handover += sign
 
     # --- views ----------------------------------------------------------------
 
@@ -221,6 +230,7 @@ class Engine:
             view=self._peer,
             active_peers=self._active_peers,
             choose=self._choose(me),
+            mutations=self.mutations,
         )
 
     # --- tracing ----------------------------------------------------------------
@@ -299,27 +309,13 @@ class Engine:
     # --- delivery ------------------------------------------------------------------
 
     def _deliver(self, dst_spec: NodeId | None, frm: NodeId, msg: Message):
-        self.inflight = self.inflight - msg.carried_credit()
-        if isinstance(msg, COM):
-            self.inflight_coms -= 1
-        if isinstance(msg, ImPC) and msg.handover:
-            self.inflight_handover -= 1
-
-        dst = dst_spec
+        dst = dst_spec if dst_spec is not None else self._find_ce()
         if dst is None:
-            dst = self._find_ce()
-            if dst is None:
-                # Role in transit: try again shortly.
-                self.counters["role-requeue"] += 1
-                self.inflight = self.inflight + msg.carried_credit()
-                if isinstance(msg, ImPC) and msg.handover:
-                    self.inflight_handover += 1
-                if isinstance(msg, COM):
-                    self.inflight_coms += 1
-                self._push(
-                    self.now + self.scn.d_ack, CLS_MSG, "deliver", (None, frm, msg)
-                )
-                return
+            # Role in transit: the message stays in flight; try again shortly.
+            self.counters["role-requeue"] += 1
+            self._push(self.now + self.scn.d_ack, CLS_MSG, "deliver", (None, frm, msg))
+            return
+        self._count_in_flight(msg, -1)
 
         st = self.nodes[dst]
         if st.dark:
@@ -626,14 +622,8 @@ def run_scenario(
     mutations: tuple[str, ...] = (),
     collect_trace: bool = True,
 ) -> tuple[RunReport, list[str]]:
-    """One-shot convenience wrapper: build, run, restore mutation state."""
-    saved = set(P.MUTATIONS)
-    P.MUTATIONS.clear()
-    P.MUTATIONS.update(mutations)
-    try:
-        eng = Engine(scn, seed, horizon=horizon, collect_trace=collect_trace)
-        report = eng.run()
-        return report, eng.trace
-    finally:
-        P.MUTATIONS.clear()
-        P.MUTATIONS.update(saved)
+    """One-shot convenience wrapper: build an Engine and run it."""
+    eng = Engine(
+        scn, seed, horizon=horizon, collect_trace=collect_trace, mutations=mutations
+    )
+    return eng.run(), eng.trace

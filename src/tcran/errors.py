@@ -61,10 +61,6 @@ class SafetyViolation(TcranError):
     """A run broke a safety property (conservation, false announcement, ...)."""
 
 
-class LivenessViolation(TcranError):
-    """A run that was required to announce never did."""
-
-
 class BoundsViolation(TcranError):
     """A per-kind message counter exceeded its complexity bound."""
 

@@ -56,13 +56,12 @@ ACTIVE = "active"
 PASSIVE = "passive"
 
 # Named deliberate bugs, used to prove the checker can catch real
-# protocol mistakes.  Enabled via the CLI --mutate flag; never on by
-# default.  "a5-keep-inmap" skips clearing the absorbed in-entry (a
-# credit-duplication bug the conservation check must flag);
-# "c2-skip-hold-check" announces strong termination without the full
-# credit in hand (a premature announcement the safety check must flag).
-MUTATIONS: set[str] = set()
-
+# protocol mistakes.  Enabled per run (Engine mutations, the CLI --mutate
+# flag); never on by default.  "a5-keep-inmap" skips clearing the
+# absorbed in-entry (a credit-duplication bug the conservation check must
+# flag); "c2-skip-hold-check" announces strong termination without the
+# full credit in hand (a premature announcement the safety check must
+# flag).
 KNOWN_MUTATIONS = ("a5-keep-inmap", "c2-skip-hold-check")
 
 
@@ -91,6 +90,7 @@ class Ctx:
     view: Callable[[NodeId], Peer]
     active_peers: Callable[[NodeId], list[NodeId]]  # same-computation, sorted
     choose: Callable[[list[NodeId]], NodeId]  # new-C_E / fallback policy
+    mutations: frozenset[str] = frozenset()  # names from KNOWN_MUTATIONS
 
 
 @dataclass(frozen=True)
@@ -318,13 +318,8 @@ def distribute(st: NodeState, plan: list[tuple[NodeId, Credit]], ctx: Ctx) -> Ou
 
 def on_com(st: NodeState, frm: NodeId, m: COM, ctx: Ctx) -> Out:
     out = Out(label="A3")
-    if st.tag is not None and is_stale(m.tag, st.tag):
-        out.label = "stale-discard"
-        _strand_cargo(st, m.credit, out)
-        return out
-    if st.terminated is not None and st.tag is not None and m.tag == st.tag:
-        # Post-announcement credit has nowhere live to go; park it.
-        out.label = "post-term-discard"
+    if not _live(st, m.tag, out):
+        # Stale or post-announcement credit has nowhere live to go; park it.
         _strand_cargo(st, m.credit, out)
         return out
     if st.state == PASSIVE:
@@ -571,7 +566,7 @@ def on_impc(st: NodeState, frm: NodeId, m: ImPC, ctx: Ctx) -> Out:
         return out
 
     folded = st.in_map.pop(frm, ZERO)
-    if "a5-keep-inmap" in MUTATIONS and folded != ZERO:
+    if "a5-keep-inmap" in ctx.mutations and folded != ZERO:
         # Deliberate bug: forget to clear the absorbed creditor entry.
         st.in_map[frm] = folded
     absorbed = m.credit + folded
@@ -942,7 +937,7 @@ def try_announce(st: NodeState, ctx: Ctx) -> Out:
         return out
     if not st.pu_ledger:
         hold_ok = st.hold == ctx.total_credit
-        if "c2-skip-hold-check" in MUTATIONS:
+        if "c2-skip-hold-check" in ctx.mutations:
             hold_ok = True  # deliberate bug: announce without the credit
         if hold_ok:
             st.terminated = STRONG

@@ -43,6 +43,7 @@ the rendered text so replays are self-contained.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -140,11 +141,19 @@ class Scenario:
         for nid, dur in sorted(self.workload.items()):
             if nid not in nodes:
                 raise ValidationError(f"workload for unknown node {nid}")
-            if dur < 0:
-                raise ValidationError(f"node {nid}: negative workload")
+            check_time(f"workload on node {nid}", dur)
+        for what, value in (
+            ("start time", self.start_at),
+            ("t_e", self.t_e),
+            ("weak-wait", self.weak_wait),
+            ("d-detect", self.d_detect),
+            ("d-ack", self.d_ack),
+        ):
+            check_time(what, value)
+        if self.horizon is not None:
+            check_time("horizon", self.horizon)
         for ev in self.events:
-            if ev.at < 0:
-                raise ValidationError(f"event before time zero: {ev}")
+            check_time(f"time of {ev.kind} {ev.arg}", ev.at)
             if ev.kind.startswith("pu-"):
                 if ev.arg not in self.channels:
                     raise ValidationError(f"{ev.kind} on unknown channel {ev.arg}")
@@ -152,9 +161,17 @@ class Scenario:
                 raise ValidationError(f"{ev.kind} on unknown node {ev.arg}")
         if self.choice not in CHOICES:
             raise ValidationError(f"unknown choice policy {self.choice!r}")
-        if not self.delay[0] <= self.delay[1] or self.delay[0] <= 0:
-            raise ValidationError("delay range must be positive and ordered")
+        if not 0 < self.delay[0] <= self.delay[1] < math.inf:
+            raise ValidationError("delay range must be positive, finite and ordered")
         return self
+
+
+def check_time(what: str, value: float):
+    """Reject a time or duration that is negative, infinite or NaN."""
+    if not math.isfinite(value):
+        raise ValidationError(f"non-finite {what}: {value}")
+    if value < 0:
+        raise ValidationError(f"negative {what}: {value:g}")
 
 
 # --- parsing -----------------------------------------------------------------
@@ -452,7 +469,7 @@ def gen_random_scenario(
         kids = kids[: rng.randint(0, min(3, len(kids)))]
         if not kids:
             continue
-        parts = split_credit(granted[nid], len(kids), "equal")
+        parts = split_credit(granted[nid], len(kids))
         entries = []
         for k, share in zip(kids, parts[1:]):
             entries.append((k, share))

@@ -67,6 +67,34 @@ def test_malformed_scenario_reports_its_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old, new, flags",
+    [
+        ("1: 12.5", "1: nan", ()),
+        ("1: 12.5", "1: inf", ()),
+        ("t_e = 5", "t_e = -5", ()),
+        ("d-ack = 0.5", "d-ack = -1", ()),
+        ("d-detect = 1", "d-detect = -1", ()),
+        ("weak-wait = 50", "weak-wait = nan", ()),
+        ("horizon = 100", "horizon = nan", ()),
+        ("horizon = 100", "horizon = -1", ()),
+        ("delay = 1", "delay = 1..inf", ()),
+        ("at 0 node 1", "at nan node 1", ()),
+        ("[plan]", "[events]\nat nan fail 3\n\n[plan]", ()),
+        ("[plan]", "[events]\nat -1 fail 3\n\n[plan]", ()),
+        ("", "", ("--horizon", "nan")),
+        ("", "", ("--horizon", "-1")),
+    ],
+)
+def test_non_finite_or_negative_times_are_rejected(tmp_path, capsys, old, new, flags):
+    text = (GOLDENS / "sec6.scn").read_text()
+    assert old in text
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text.replace(old, new, 1))
+    assert run_cli("--scenario", str(bad), *flags) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_modes_are_mutually_exclusive(capsys):
     with pytest.raises(SystemExit) as e:
         run_cli("--scenario", SEC6, "--fuzz", "3")
@@ -122,6 +150,12 @@ def test_flag_beats_env_horizon(monkeypatch, capsys):
     monkeypatch.setenv("TCRAN_HORIZON", "3")
     assert run_cli("--scenario", SEC6, "--horizon", "100") == 0
     assert "strong by node 2" in capsys.readouterr().out
+
+
+def test_unreadable_env_horizon_is_a_parse_error(monkeypatch, capsys):
+    monkeypatch.setenv("TCRAN_HORIZON", "soon")
+    assert run_cli("--scenario", SEC6) == 2
+    assert "TCRAN_HORIZON" in capsys.readouterr().err
 
 
 # --- traces and replay ----------------------------------------------------------------

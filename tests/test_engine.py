@@ -307,6 +307,42 @@ def test_announce_mutant_is_caught_at_announcement():
         run_scenario(scn, seed=1, mutations=("c2-skip-hold-check",))
 
 
+def test_mutations_belong_to_one_engine():
+    # Two runs stepped in turn in one process: the mutant fails exactly as
+    # it does alone, and its mutation never reaches the clean run.
+    with pytest.raises(SafetyViolation) as alone:
+        run_scenario(golden("sec6"), seed=1, mutations=("a5-keep-inmap",))
+    clean = Engine(golden("sec6"), seed=1)
+    mutant = Engine(golden("sec6"), seed=1, mutations=("a5-keep-inmap",))
+    running, failure = [clean, mutant], None
+    while running:
+        for eng in list(running):
+            try:
+                if not eng.step():
+                    running.remove(eng)
+            except SafetyViolation as e:
+                assert eng is mutant
+                failure = e
+                running.remove(eng)
+    assert str(failure) == str(alone.value)
+    assert clean.announce[0] == "strong"
+
+
+def test_unknown_mutation_is_refused():
+    with pytest.raises(ValueError, match="unknown mutations"):
+        Engine(golden("sec6"), seed=1, mutations=("a5-keep-in-map",))
+
+
+def test_role_addressed_message_waits_for_an_executive():
+    # Seed 164 sends role-addressed messages while the executive role is
+    # in transit; delivery requeues them until a holder exists.
+    scn = gen_random_scenario(164, n_nodes=3 + 164 % 28)
+    report, _ = run_scenario(scn, 164, collect_trace=False)
+    assert report.counters["role-requeue"] == 15
+    assert report.terminated is None
+    assert not report.horizon_hit
+
+
 def test_horizon_cuts_the_run_and_reports_it():
     report, _ = run_scenario(golden("sec6"), seed=1, horizon=3.0)
     assert report.horizon_hit

@@ -79,15 +79,6 @@ def assert_conserved(before, node, out, carried_in=ZERO):
     assert before + carried_in == after
 
 
-@pytest.fixture
-def clean_mutations():
-    saved = set(P.MUTATIONS)
-    P.MUTATIONS.clear()
-    yield P.MUTATIONS
-    P.MUTATIONS.clear()
-    P.MUTATIONS.update(saved)
-
-
 # --- start / distribute -----------------------------------------------------
 
 
@@ -664,10 +655,10 @@ def test_tm_marks_termination():
 # --- deliberate bugs (checker bait) -------------------------------------------
 
 
-def test_mutation_a5_keeps_the_absorbed_entry(clean_mutations):
-    P.MUTATIONS.add("a5-keep-inmap")
+def test_mutation_a5_keeps_the_absorbed_entry():
     n = active(4, 3, credit(1, 4), in_map={6: credit(1, 20)})
     ctx = mkctx({4: n})
+    ctx.mutations = frozenset({"a5-keep-inmap"})
     before = n.local_credit()
     m = ImPC(TAG, credit(3, 10), 0, (), (6, 2))
     out = P.on_impc(n, 6, m, ctx)
@@ -677,11 +668,12 @@ def test_mutation_a5_keeps_the_absorbed_entry(clean_mutations):
     assert after == before + m.carried_credit() + credit(1, 20)
 
 
-def test_mutation_c2_announces_without_the_credit(clean_mutations):
-    P.MUTATIONS.add("c2-skip-hold-check")
+def test_mutation_c2_announces_without_the_credit():
     ce = active(1, 1, credit(1, 2))
     ce.settled = True
     ctx = mkctx({1: ce})
+    assert P.try_announce(ce, ctx).announce is None
+    ctx.mutations = frozenset({"c2-skip-hold-check"})
     out = P.try_announce(ce, ctx)
     assert out.announce == STRONG  # premature: safety checker must flag
 
