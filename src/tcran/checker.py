@@ -2,9 +2,18 @@
 
 The simulator calls into this module after every processed event, so a
 protocol bug surfaces at the exact event that introduced it rather than
-as a mysteriously wrong final report.  Everything here recomputes from
-the full node snapshot; nothing trusts the protocol's own bookkeeping
-beyond the raw fields.
+as a mysteriously wrong final report.  Nothing here trusts the
+protocol's own bookkeeping beyond the raw fields.
+
+Per event the engine hands over only what the event could have changed.
+Conservation gets the credit held at nodes as a running sum kept from
+per-node local_credit() figures.  The state invariant gets the nodes the
+event touched, and the executive check the nodes that hold the role.
+tree_height runs over all nodes only when some node's state or parent
+changed, or a node in the session went dark or came back.
+Engine.full_check feeds the same checks the full node snapshot
+(global_credit_sum over every node) and compares the engine's caches
+against that recompute.
 
 Checked continuously:
   * conservation: the credits physically present at nodes (hold, entry
@@ -34,13 +43,9 @@ def global_credit_sum(
     return credit_sum(n.local_credit() for n in nodes.values()) + inflight
 
 
-def assert_conservation(
-    nodes: dict[NodeId, NodeState],
-    inflight: Credit,
-    total: Credit,
-    when: float,
-):
-    got = global_credit_sum(nodes, inflight)
+def assert_conservation(held: Credit, inflight: Credit, total: Credit, when: float):
+    """Credit held at nodes plus credit in flight is the session total."""
+    got = held + inflight
     if got != total:
         raise SafetyViolation(
             f"t={when:g}: credit sum {render_credit(got)} != "

@@ -10,7 +10,15 @@ message timing for the underlying computation.
 
 The omniscient checker is consulted after every processed event; a run
 that breaks conservation or announces falsely dies on the spot with a
-SafetyViolation rather than producing a quietly wrong report.
+SafetyViolation rather than producing a quietly wrong report.  Per event
+it sees only what the event could change: the engine records every node
+the event touched (each node a protocol handler was handed, plus the
+nodes the engine itself edits), refreshes per-node caches for those
+alone, and keeps the global figures (credit held at nodes, executives,
+open handovers, busy nodes, tree shape) as running totals.  A handler
+mutates only the NodeState it is given, so an untouched node's cached
+figures still hold.  Engine.full_check recomputes every figure from the
+raw node states and demands that the caches agree.
 """
 
 from __future__ import annotations
@@ -137,9 +145,22 @@ class Engine:
         self.height_max = 0
         self.height_at_announce: int | None = None
         self.peak_dark = 0
+        self._n_dark = 0
         self.events_processed = 0
         self._delay_n: Counter = Counter()
         self._choice_n: Counter = Counter()
+
+        # Checker caches, kept current for the nodes in _touched by
+        # _refresh after every event.  A fresh node is passive and holds
+        # nothing, so no node starts in any set or in the tree.
+        self._touched: set[NodeId] = set()
+        self._credit: dict[NodeId, Credit] = dict.fromkeys(self.nodes, ZERO)
+        self._held: Credit = ZERO
+        self._ces: set[NodeId] = set()
+        self._handing_over: set[NodeId] = set()
+        self._busy: set[NodeId] = set()
+        self._shape = {nid: _shape(st) for nid, st in self.nodes.items()}
+        self._height = 0
 
         self._push(scn.start_at, CLS_WORLD, "start", ())
         for ev in scn.events:
@@ -186,7 +207,9 @@ class Engine:
 
     def _count_in_flight(self, msg: Message, sign: int):
         """A message is in flight from its launch until its delivery."""
-        self.inflight = self.inflight + sign * msg.carried_credit()
+        cargo = msg.carried_credit()
+        if cargo:
+            self.inflight = self.inflight + sign * cargo
         if isinstance(msg, COM):
             self.inflight_coms += sign
         if isinstance(msg, ImPC) and msg.handover:
@@ -195,8 +218,11 @@ class Engine:
     # --- views ----------------------------------------------------------------
 
     def _find_ce(self) -> NodeId | None:
-        holders = [n.id for n in self.nodes.values() if n.is_ce()]
-        assert len(holders) <= 1, f"two executives: {holders}"
+        # Mid-event the cache is stale only for nodes touched so far.
+        touched = self._touched
+        holders = [c for c in self._ces if c not in touched]
+        holders += [k for k in touched if self.nodes[k].is_ce()]
+        assert len(holders) <= 1, f"two executives: {sorted(holders)}"
         return holders[0] if holders else None
 
     def _peer(self, k: NodeId) -> Peer:
@@ -222,6 +248,7 @@ class Engine:
         return pick
 
     def _ctx(self, me: NodeId) -> Ctx:
+        self._touched.add(me)  # the handler given this context edits `me`
         return Ctx(
             now=self.now,
             total_credit=self.scn.credit_total,
@@ -278,12 +305,14 @@ class Engine:
     # --- workload ------------------------------------------------------------------
 
     def _schedule_work(self, nid: NodeId):
+        self._touched.add(nid)
         rt = self.rt[nid]
         rt.work_gen += 1
         rt.work_deadline = self.now + rt.work_left
         self._push(rt.work_deadline, CLS_WORK, "work", (nid, rt.work_gen))
 
     def _freeze_work(self, nid: NodeId):
+        self._touched.add(nid)
         rt = self.rt[nid]
         if rt.work_deadline is not None:
             rt.work_left = max(0.0, rt.work_deadline - self.now)
@@ -316,6 +345,7 @@ class Engine:
             self._push(self.now + self.scn.d_ack, CLS_MSG, "deliver", (None, frm, msg))
             return
         self._count_in_flight(msg, -1)
+        self._touched.add(dst)
 
         st = self.nodes[dst]
         if st.dark:
@@ -370,6 +400,8 @@ class Engine:
         raise TypeError(f"undeliverable message {msg!r}")
 
     def _drop_dark(self, st: NodeState, frm: NodeId, msg: Message):
+        # An escrow return edits the sender's handshake record.
+        self._touched.update((st.id, frm))
         self.counters["drop"] += 1
         cargo = msg.carried_credit()
         if isinstance(msg, ImPC):
@@ -403,10 +435,10 @@ class Engine:
         st = self.nodes[nid]
         if st.dark:
             return
+        self._touched.add(nid)
         st.dark = True
-        self.peak_dark = max(
-            self.peak_dark, sum(1 for n in self.nodes.values() if n.dark)
-        )
+        self._n_dark += 1
+        self.peak_dark = max(self.peak_dark, self._n_dark)
         if not self.scn.work_while_dark:
             self._freeze_work(nid)
         self._trace(nid, "dark", why)
@@ -423,7 +455,9 @@ class Engine:
         if rt.crashed:
             self.anomalies.append(f"t={self.now:g} recover on crashed node {nid}")
             return
+        self._touched.add(nid)
         st.dark = False
+        self._n_dark -= 1
         self._trace(nid, "recovered", "")
         out = P.on_recovery(st, self._ctx(nid))
         self._apply(nid, out, "back on air")
@@ -521,6 +555,7 @@ class Engine:
             nid, gen = payload
             rt = self.rt[nid]
             if gen == rt.work_gen and rt.work_deadline is not None:
+                self._touched.add(nid)
                 rt.work_left = 0.0
                 rt.work_deadline = None
                 self._maybe_idle(nid)
@@ -531,39 +566,98 @@ class Engine:
         return True
 
     def _post_event(self):
+        touched = sorted(self._touched)  # node order, as a full scan meets them
+        shape_moved = self._refresh()
         checker.assert_conservation(
-            self.nodes, self.inflight, self.scn.credit_total, self.now
+            self._held, self.inflight, self.scn.credit_total, self.now
         )
-        checker.assert_state_invariant(self.nodes)
+        # The state invariant is per node, so an untouched node still
+        # satisfies it.
+        checker.assert_state_invariant({k: self.nodes[k] for k in touched})
         checker.assert_single_ce(
-            self.nodes,
+            {k: self.nodes[k] for k in self._ces},
             started=self.started,
-            window_open=self.inflight_handover > 0
-            or any(
-                rec.handover
-                for n in self.nodes.values()
-                for rec in n.pending.values()
-            ),
+            window_open=self.inflight_handover > 0 or bool(self._handing_over),
         )
-        h = checker.tree_height(self.nodes)
-        self.height_max = max(self.height_max, h)
+        if shape_moved:
+            self._height = checker.tree_height(self.nodes)
+            self.height_max = max(self.height_max, self._height)
         # The omniscient termination instant: the moment the last busy
         # condition cleared.  Busy means a node still computing or an
         # activating message on the air; a settled executive watching its
         # books is active in protocol terms but not computing.  The event
         # that ends the final busy stretch is itself that instant, hence
         # the one-event lookback.
-        busy = self.inflight_coms > 0 or any(
-            n.state == ACTIVE
-            and (
-                self.rt[n.id].work_deadline is not None
-                or self.rt[n.id].work_left > 0.0
-            )
-            for n in self.nodes.values()
-        )
+        busy = self.inflight_coms > 0 or bool(self._busy)
         if busy or self._was_busy:
             self.last_activity = self.now
         self._was_busy = busy
+
+    def _refresh(self) -> bool:
+        """Bring the checker caches up to date for every touched node.
+
+        Returns whether some node's tree shape changed.
+        """
+        shape_moved = False
+        for k in self._touched:
+            st, rt = self.nodes[k], self.rt[k]
+            credit = st.local_credit()
+            if credit != self._credit[k]:
+                self._held += credit - self._credit[k]
+                self._credit[k] = credit
+            _mark(self._ces, k, st.is_ce())
+            _mark(self._handing_over, k, _handing_over(st))
+            _mark(self._busy, k, _busy(st, rt))
+            shape = _shape(st)
+            if shape != self._shape[k]:
+                self._shape[k] = shape
+                shape_moved = True
+        self._touched.clear()
+        return shape_moved
+
+    def full_check(self):
+        """Recompute every per-event figure from the raw node states.
+
+        Raises AssertionError when a cache disagrees with the recompute
+        (a node changed without being marked touched), and reruns the
+        checks over every node.  Call it between steps; tests do, to
+        cross-check the incremental path.
+        """
+        nodes = self.nodes.values()
+        fresh = {
+            "credit": {n.id: n.local_credit() for n in nodes},
+            "held": checker.global_credit_sum(self.nodes),
+            "executives": {n.id for n in nodes if n.is_ce()},
+            "handovers": {n.id for n in nodes if _handing_over(n)},
+            "busy": {n.id for n in nodes if _busy(n, self.rt[n.id])},
+            "shape": {n.id: _shape(n) for n in nodes},
+            "height": checker.tree_height(self.nodes),
+            "dark": sum(1 for n in nodes if n.dark),
+        }
+        cached = {
+            "credit": self._credit,
+            "held": self._held,
+            "executives": self._ces,
+            "handovers": self._handing_over,
+            "busy": self._busy,
+            "shape": self._shape,
+            "height": self._height,
+            "dark": self._n_dark,
+        }
+        stale = [k for k in fresh if fresh[k] != cached[k]]
+        if stale:
+            raise AssertionError(
+                f"t={self.now:g}: stale checker caches: {', '.join(stale)}"
+            )
+        checker.assert_conservation(
+            fresh["held"], self.inflight, self.scn.credit_total, self.now
+        )
+        checker.assert_state_invariant(self.nodes)
+        checker.assert_single_ce(
+            self.nodes,
+            started=self.started,
+            window_open=self.inflight_handover > 0 or bool(fresh["handovers"]),
+        )
 
     def run(self, strict_horizon: bool = False) -> RunReport:
         horizon_hit = False
@@ -613,6 +707,27 @@ class Engine:
             "N_leave": leaves,
             "N_affected": self.peak_dark,
         }
+
+
+def _mark(members: set[NodeId], nid: NodeId, member: bool):
+    if member:
+        members.add(nid)
+    else:
+        members.discard(nid)
+
+
+def _handing_over(st: NodeState) -> bool:
+    return any(rec.handover for rec in st.pending.values())
+
+
+def _busy(st: NodeState, rt: _Runtime) -> bool:
+    """Still computing: the workload has time left or is running."""
+    return st.state == ACTIVE and (rt.work_deadline is not None or rt.work_left > 0.0)
+
+
+def _shape(st: NodeState) -> tuple:
+    """Everything of a node that checker.tree_height reads."""
+    return (st.state, st.parent, st.dark and st.tag is not None)
 
 
 def run_scenario(

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .engine import RunReport, run_scenario
 from .errors import ParseError, ReplayDivergence
-from .scenario import load_scenario
+from .scenario import _float, _int, check_time, load_scenario
 
 HEADER = "# tcran-trace v1"
 _SCN_MARK = "--- scenario ---"
@@ -77,9 +77,10 @@ def parse_trace(text: str) -> TraceFile:
             raise ParseError("expected key = value before scenario", i + 1)
         key, value = key.strip(), value.strip()
         if key == "seed":
-            seed = int(value)
+            seed = _int(value, i + 1)
         elif key == "horizon":
-            horizon = float(value)
+            horizon = _float(value, i + 1)
+            check_time("horizon", horizon)
         else:
             raise ParseError(f"unknown trace field {key!r}", i + 1)
         i += 1

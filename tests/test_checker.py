@@ -91,9 +91,10 @@ def test_conservation_counts_every_pocket():
     st.in_map[9] = credit(1, 8)
     st.stranded = credit(1, 8)
     assert global_credit_sum({1: st}, inflight=credit(1, 4)) == ONE
-    assert_conservation({1: st}, credit(1, 4), ONE, when=0.0)
+    held = global_credit_sum({1: st})
+    assert_conservation(held, credit(1, 4), ONE, when=0.0)
     with pytest.raises(SafetyViolation, match="credit sum"):
-        assert_conservation({1: st}, ZERO, ONE, when=0.0)
+        assert_conservation(held, ZERO, ONE, when=0.0)
 
 
 def test_passive_node_holding_credit_is_flagged():

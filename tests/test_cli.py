@@ -195,6 +195,24 @@ def test_replaying_a_non_trace_is_a_parse_error(tmp_path, capsys):
     assert run_cli("--replay", str(junk)) == 2
 
 
+@pytest.mark.parametrize(
+    "old, new, complaint",
+    [
+        ("seed = 1", "seed = one", "line 2: bad integer 'one'"),
+        ("seed = 1", "seed = 1\nhorizon = nan", "non-finite horizon: nan"),
+    ],
+)
+def test_bad_trace_header_is_a_parse_error(tmp_path, capsys, old, new, complaint):
+    trace = tmp_path / "run.trace"
+    assert run_cli("--scenario", SEC6, "--trace-out", str(trace)) == 0
+    capsys.readouterr()
+    text = trace.read_text()
+    assert old in text
+    trace.write_text(text.replace(old, new, 1))
+    assert run_cli("--replay", str(trace)) == 2
+    assert complaint in capsys.readouterr().err
+
+
 # --- fuzz mode --------------------------------------------------------------------------
 
 

@@ -1,0 +1,111 @@
+"""The incremental per-event checker against its full recompute.
+
+After every event the engine re-verifies only the nodes that event
+touched and keeps the global figures as running totals.
+Engine.full_check recomputes them all from the raw node states, so
+stepping a corpus with a full check after every step shows that no event
+changes a node the engine did not mark as touched.
+"""
+
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from tcran.credit import credit
+from tcran.engine import Engine
+from tcran.errors import HorizonExceeded, SafetyViolation
+from tcran.protocol import KNOWN_MUTATIONS
+from tcran.scenario import gen_random_scenario, load_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_NAMES = ("sec6", "sec6_pu", "b4_cluster", "b4_cluster_nopu")
+REGRESSION_SEEDS = (1006, 2434, 5089)
+
+
+def golden(name):
+    return load_scenario((ROOT / "goldens" / f"{name}.scn").read_text())
+
+
+def run_checked(eng: Engine):
+    """Run to the end with a full recompute after every event."""
+    try:
+        while eng.step():
+            eng.full_check()
+    except HorizonExceeded:
+        eng.full_check()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_goldens_agree_with_full_recompute(name, seed):
+    run_checked(Engine(golden(name), seed))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", ["sec6_pu", "b4_cluster"])
+def test_work_while_dark_agrees_with_full_recompute(name, seed):
+    # No workload freeze marks the node that goes dark: the mark in
+    # Engine._go_dark alone must cover it.
+    run_checked(Engine(replace(golden(name), work_while_dark=True), seed))
+
+
+@pytest.mark.parametrize("seed", REGRESSION_SEEDS)
+def test_regressions_agree_with_full_recompute(seed):
+    text = (ROOT / "tests" / "regressions" / f"fuzz_{seed}.scn").read_text()
+    run_checked(Engine(load_scenario(text), seed, collect_trace=False))
+
+
+def test_fuzz_corpus_agrees_with_full_recompute():
+    for seed in range(200):
+        scn = gen_random_scenario(seed, n_nodes=3 + seed % 28)
+        run_checked(Engine(scn, seed, collect_trace=False))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_failure_free_hundred_nodes_agree_with_full_recompute(seed):
+    scn = gen_random_scenario(seed, n_nodes=100, failure_free=True)
+    eng = Engine(scn, seed, collect_trace=False)
+    run_checked(eng)
+    assert eng.announce[0] == "strong"
+
+
+def _failure(eng: Engine, full: bool) -> tuple[int, str]:
+    with pytest.raises(SafetyViolation) as caught:
+        while eng.step():
+            if full:
+                eng.full_check()
+    return eng.events_processed, str(caught.value)
+
+
+@pytest.mark.parametrize("mutation", KNOWN_MUTATIONS)
+def test_mutants_fail_at_the_same_event_with_full_recompute(mutation):
+    # The same bait as the identity pin: the walkthrough trips the in-map
+    # bug, random scenario 1 the announce-guard bug.
+    scn = golden("sec6") if mutation == "a5-keep-inmap" else gen_random_scenario(1)
+    fast = _failure(Engine(scn, 1, mutations=(mutation,)), full=False)
+    full = _failure(Engine(scn, 1, mutations=(mutation,)), full=True)
+    assert fast == full
+
+
+@pytest.mark.parametrize(
+    "edit, stale",
+    [
+        ("hold", "credit, held"),
+        ("parent", "executives, shape"),
+    ],
+)
+def test_edit_behind_the_engines_back_is_caught(edit, stale):
+    eng = Engine(golden("sec6"), 1)
+    for _ in range(12):
+        eng.step()
+    eng.full_check()
+    # Node 5 is passive and out of the tree at this point; no event
+    # touched it, so only the full recompute can see the edit.
+    st = eng.nodes[5]
+    if edit == "hold":
+        st.hold = st.hold + credit(1, 7)
+    else:
+        st.parent = st.id
+    with pytest.raises(AssertionError, match=f"stale checker caches: {stale}"):
+        eng.full_check()
