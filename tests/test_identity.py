@@ -27,6 +27,22 @@ FUZZ_SEEDS = range(100, 200)
 
 EXPECTED_DIGEST = "18df55107e96aa4a172fb721795d670849303c7158a7bb820215788bc9e21f5f"
 
+# Mixed runs (seed, node count) that reach the rare surrender paths the
+# corpus above misses: a returned handover parcel (924, 1094, 517, 1095,
+# 1126), a SpecialReclaim (950), and an ordinary parcel bounced back to
+# escrow and re-sent (22, 67).
+RARE_PATH_RUNS = (
+    (924, 3),
+    (1094, 5),
+    (517, 60),
+    (1095, 60),
+    (1126, 60),
+    (950, 60),
+    (22, 60),
+    (67, 14),
+)
+RARE_PATH_DIGEST = "a78870a8cce136762d83634bfbce90790a8ed39f99daa5fc6965774d905431f3"
+
 
 def _digest_run(h, scn, seed: int):
     eng = Engine(scn, seed)
@@ -68,3 +84,10 @@ def test_traces_reports_and_failures_are_unchanged(tmp_path, capsys):
     for seed in FUZZ_SEEDS:
         _digest_run(h, gen_random_scenario(seed, n_nodes=3 + seed % 28), seed)
     assert h.hexdigest() == EXPECTED_DIGEST
+
+
+def test_rare_surrender_paths_are_unchanged():
+    h = hashlib.sha256()
+    for seed, n_nodes in RARE_PATH_RUNS:
+        _digest_run(h, gen_random_scenario(seed, n_nodes=n_nodes), seed)
+    assert h.hexdigest() == RARE_PATH_DIGEST
