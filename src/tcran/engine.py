@@ -65,6 +65,20 @@ CLS_MSG = 2
 CLS_TIMER = 3
 CLS_WORK = 4
 
+# Message type -> name of its protocol.py handler.
+_HANDLERS = {
+    COM: "on_com",
+    ImPC: "on_impc",
+    ImP: "on_imp",
+    AcK: "on_ack",
+    AAcK: "on_aack",
+    PaN: "on_pan",
+    NaP: "on_nap",
+    SpecialForward: "on_special",
+    SpecialReclaim: "on_special",
+    TM: "on_tm",
+}
+
 
 @dataclass
 class _Runtime:
@@ -379,25 +393,12 @@ class Engine:
             self._maybe_idle(dst)
 
     def _dispatch(self, st: NodeState, frm: NodeId, msg: Message, ctx: Ctx) -> Out:
-        if isinstance(msg, COM):
-            return P.on_com(st, frm, msg, ctx)
-        if isinstance(msg, ImPC):
-            return P.on_impc(st, frm, msg, ctx)
-        if isinstance(msg, ImP):
-            return P.on_imp(st, frm, msg, ctx)
-        if isinstance(msg, AcK):
-            return P.on_ack(st, frm, msg, ctx)
-        if isinstance(msg, AAcK):
-            return P.on_aack(st, frm, msg, ctx)
-        if isinstance(msg, PaN):
-            return P.on_pan(st, frm, msg, ctx)
-        if isinstance(msg, NaP):
-            return P.on_nap(st, frm, msg, ctx)
-        if isinstance(msg, (SpecialForward, SpecialReclaim)):
-            return P.on_special(st, frm, msg, ctx)
-        if isinstance(msg, TM):
-            return P.on_tm(st, msg, ctx)
-        raise TypeError(f"undeliverable message {msg!r}")
+        name = _HANDLERS.get(type(msg))
+        if name is None:
+            raise TypeError(f"undeliverable message {msg!r}")
+        # Looked up per call, so a wrapper installed on the protocol
+        # module (bench/tracing.py) sees every delivery.
+        return getattr(P, name)(st, frm, msg, ctx)
 
     def _drop_dark(self, st: NodeState, frm: NodeId, msg: Message):
         # An escrow return edits the sender's handshake record.
@@ -509,7 +510,7 @@ class Engine:
         if kind == "start":
             st = self.nodes[self.scn.start_node]
             out = P.on_external_start(
-                st, self.tag, self.scn.credit_total, [], self._ctx(st.id)
+                st, self.tag, self.scn.credit_total, self._ctx(st.id)
             )
             self.started = True
             self._apply(st.id, out, f"credit={render_credit(self.scn.credit_total)}")
@@ -717,7 +718,7 @@ def _mark(members: set[NodeId], nid: NodeId, member: bool):
 
 
 def _handing_over(st: NodeState) -> bool:
-    return any(rec.handover for rec in st.pending.values())
+    return any(rec.msg.handover for rec in st.pending.values())
 
 
 def _busy(st: NodeState, rt: _Runtime) -> bool:

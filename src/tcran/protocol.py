@@ -136,18 +136,8 @@ class PendingSurrender:
     only condition under which the timeout path may re-send it.
     """
 
-    target: NodeId | None
-    credit: Credit
-    b: int
-    child_map: ChildMap
-    handover: bool
-    ledger: LedgerRows
+    msg: ImPC
     returned: bool = False
-
-    def escrowed(self) -> Credit:
-        if not self.returned:
-            return ZERO
-        return self.credit + credit_sum(i for _, _, i, _ in self.ledger)
 
 
 @dataclass
@@ -206,7 +196,9 @@ class NodeState:
         return self.parent == self.id
 
     def escrow_total(self) -> Credit:
-        return credit_sum(p.escrowed() for p in self.pending.values())
+        return credit_sum(
+            p.msg.carried_credit() for p in self.pending.values() if p.returned
+        )
 
     def ledger_physical(self) -> Credit:
         held = credit_sum(i for i, _ in self.pu_ledger.values())
@@ -272,25 +264,15 @@ def _strand_cargo(st: NodeState, amount: Credit, out: Out):
 # --- A1/A2: start and distribution ---------------------------------------
 
 
-def on_external_start(
-    st: NodeState,
-    tag: SessionTag,
-    credit_c: Credit,
-    plan: list[tuple[NodeId, Credit]],
-    ctx: Ctx,
-) -> Out:
-    """A1 + A2: external kick-off at the initiator, who becomes C_E."""
-    out = Out(label="A1")
+def on_external_start(st: NodeState, tag: SessionTag, credit_c: Credit, ctx: Ctx) -> Out:
+    """A1: external kick-off at the initiator, who becomes C_E."""
     if st.state == ACTIVE:
         raise AlreadyActive(f"node {st.id} already active")
     st.state = ACTIVE
     st.parent = st.id
     st.tag = tag
     st.hold = credit_c
-    if plan:
-        out.merge(distribute(st, plan, ctx))
-        out.label = "A1"
-    return out
+    return Out(label="A1")
 
 
 def distribute(st: NodeState, plan: list[tuple[NodeId, Credit]], ctx: Ctx) -> Out:
@@ -357,37 +339,57 @@ def _active_tree_children(st: NodeState, ctx: Ctx) -> list[NodeId]:
     return kids
 
 
-def _surrender_target(
-    st: NodeState, ctx: Ctx, preferred: NodeId | None
-) -> tuple[NodeId | None, str]:
+def _surrender_target(st: NodeState, ctx: Ctx) -> NodeId | None:
     """A4 guard cascade: where does the main parcel go?
 
-    Returns (target, guard name); target None means the chief-executive
-    role (engine resolves at delivery), the last resort when no active
-    peer is visible anywhere in the computation.
+    None means the chief-executive role (engine resolves at delivery),
+    the last resort when no active peer is visible anywhere in the
+    computation.
     """
-    if preferred is not None:
-        p = ctx.view(preferred)
-        if p.active and not p.dark and preferred != st.id:
-            return preferred, "preferred"
     if st.parent is not None and st.parent != st.id:
         p = ctx.view(st.parent)
         if p.active and not p.dark:
-            return st.parent, "parent"
+            return st.parent
     kids = _active_tree_children(st, ctx)
     if kids:
-        return choose_new_ce(kids, ctx.choose), "child"
+        return choose_new_ce(kids, ctx.choose)
     creditors = [
         k
         for k in sorted(st.in_map)
         if ctx.view(k).active and not ctx.view(k).dark and k != st.id
     ]
     if creditors:
-        return creditors[0], "creditor"
+        return creditors[0]
     anyone = ctx.active_peers(st.id)
     if anyone:
-        return ctx.choose(anyone), "any-active"
-    return None, "ce-role"
+        return ctx.choose(anyone)
+    return None
+
+
+def _send_parcel(
+    st: NodeState,
+    ctx: Ctx,
+    out: Out,
+    target: NodeId | None,
+    amount: Credit,
+    child_map: ChildMap = (),
+    handover: bool = False,
+    ledger: LedgerRows = (),
+):
+    """Launch one ImPC parcel: escrow record, send, and the AcK timer."""
+    assert st.tag is not None
+    msg = ImPC(
+        st.tag,
+        amount,
+        len(child_map),
+        child_map,
+        st.next_parcel(),
+        handover=handover,
+        ledger=ledger,
+    )
+    st.pending[msg.parcel] = PendingSurrender(msg)
+    out.send(target, msg)
+    out.timers.append(Timer("ack-timeout", ctx.now + ctx.t_e, msg.parcel))
 
 
 def _first_line_returns(st: NodeState, ctx: Ctx, skip: NodeId | None, out: Out):
@@ -402,14 +404,8 @@ def _first_line_returns(st: NodeState, ctx: Ctx, skip: NodeId | None, out: Out):
         if k == skip:
             continue
         p = ctx.view(k)
-        if not p.active or p.dark:
-            continue
-        amount = st.in_map.pop(k)
-        parcel = st.next_parcel()
-        assert st.tag is not None
-        st.pending[parcel] = PendingSurrender(k, amount, 0, (), False, ())
-        out.send(k, ImPC(st.tag, amount, 0, (), parcel))
-        out.timers.append(Timer("ack-timeout", ctx.now + ctx.t_e, parcel))
+        if p.active and not p.dark:
+            _send_parcel(st, ctx, out, k, st.in_map.pop(k))
 
 
 def _fold_remaining_credit(st: NodeState) -> Credit:
@@ -441,21 +437,22 @@ def _convert_dark_claims(st: NodeState, ctx: Ctx, out: Out):
             out.send(None, PaN(st.tag, k, in_part, amount), bucket="special")
 
 
-def surrender_core(st: NodeState, ctx: Ctx, preferred: NodeId | None = None) -> Out:
+def surrender_core(st: NodeState, ctx: Ctx) -> Out:
     """The surrender transition shared by A4, bounces, and retry re-sends.
 
     Empties the node: active creditors are paid back first, then the main
     parcel (hold, plus the folded entry of the target if it was also a
     creditor) goes to the guard-selected target with the live children
     riding along as b/child_map.  The chief executive cannot surrender
-    upward: it either hands its role to an active child or settles in
-    place and tries to announce.
+    upward: it either hands its role and its books to an active child or
+    settles in place and tries to announce.
     """
     out = Out(label="A4")
     assert st.tag is not None
     _convert_dark_claims(st, ctx, out)
 
-    if st.is_ce():
+    handover = st.is_ce()
+    if handover:
         kids = _active_tree_children(st, ctx)
         if not kids:
             # Nothing to hand over to: settle and watch the books.
@@ -467,61 +464,37 @@ def surrender_core(st: NodeState, ctx: Ctx, preferred: NodeId | None = None) -> 
             st.settled = True
             out.merge(try_announce(st, ctx))
             return out
-        z = choose_new_ce(kids, ctx.choose)
-        _first_line_returns(st, ctx, z, out)
-        folded = _fold_remaining_credit(st)
-        others = [k for k in _active_tree_children(st, ctx) if k != z]
-        child_map = tuple((k, st.out_map[k]) for k in others)
-        ledger_rows = tuple(
+        target = choose_new_ce(kids, ctx.choose)
+    else:
+        target = _surrender_target(st, ctx)
+    _first_line_returns(st, ctx, target, out)
+    folded = _fold_remaining_credit(st)
+    kids = [k for k in _active_tree_children(st, ctx) if k != target]
+    child_map = tuple((k, st.out_map[k]) for k in kids)
+    ledger: LedgerRows = ()
+    if handover:
+        ledger = tuple(
             (r, a, i, o) for (r, a), (i, o) in sorted(st.pu_ledger.items())
-        )
-        reclaim_rows = tuple(
-            (r, a, c, ZERO) for (r, a), c in sorted(st.reclaimable.items())
-        )
-        parcel = st.next_parcel()
-        msg = ImPC(
-            st.tag,
-            st.hold + folded,
-            len(child_map),
-            child_map,
-            parcel,
-            handover=True,
-            ledger=ledger_rows + reclaim_rows,
-        )
-        st.pending[parcel] = PendingSurrender(
-            z, st.hold + folded, len(child_map), child_map, True, msg.ledger
-        )
-        out.send(z, msg)
-        out.timers.append(Timer("ack-timeout", ctx.now + ctx.t_e, parcel))
-        for k in others:
-            out.send(k, ImP(st.tag, z))
+        ) + tuple((r, a, c, ZERO) for (r, a), c in sorted(st.reclaimable.items()))
         st.pu_ledger.clear()
         st.reclaimable.clear()
         st.weak_deadline = None
-        out.notes.append(f"handover->{z}")
+    _send_parcel(st, ctx, out, target, st.hold + folded, child_map, handover, ledger)
+    if target is not None:
+        for k in kids:
+            out.send(k, ImP(st.tag, target))
+    if handover:
+        out.notes.append(f"handover->{target}")
+    elif target is None:
+        out.notes.append("surrender->CE-role")
     else:
-        target, guard = _surrender_target(st, ctx, preferred)
-        _first_line_returns(st, ctx, target, out)
-        folded = _fold_remaining_credit(st)
-        kids = [k for k in _active_tree_children(st, ctx) if k != target]
-        child_map = tuple((k, st.out_map[k]) for k in kids)
-        parcel = st.next_parcel()
-        msg = ImPC(st.tag, st.hold + folded, len(child_map), child_map, parcel)
-        st.pending[parcel] = PendingSurrender(
-            target, st.hold + folded, len(child_map), child_map, False, ()
-        )
-        out.send(target, msg)
-        out.timers.append(Timer("ack-timeout", ctx.now + ctx.t_e, parcel))
-        if target is not None:
-            for k in kids:
+        # Borrowers (active out-targets that are not my children) get
+        # told where their credit now lives.
+        for k in sorted(st.out_map):
+            p = ctx.view(k)
+            if k != target and k not in kids and p.active and not p.dark:
                 out.send(k, ImP(st.tag, target))
-            # Borrowers (active out-targets that are not my children) get
-            # told where their credit now lives.
-            for k in sorted(st.out_map):
-                p = ctx.view(k)
-                if k != target and k not in kids and p.active and not p.dark:
-                    out.send(k, ImP(st.tag, target))
-        out.notes.append(f"surrender->{'CE-role' if target is None else target}")
+        out.notes.append(f"surrender->{target}")
 
     st.surrenders += 1
     st.state = PASSIVE
@@ -540,7 +513,26 @@ def on_idle(st: NodeState, ctx: Ctx) -> Out:
     return surrender_core(st, ctx)
 
 
+def _bounce(st: NodeState, ctx: Ctx, out: Out):
+    """A passive node cannot sit on credit: surrender it onward at once."""
+    st.state = ACTIVE
+    out.notes.append("bounce")
+    out.merge(surrender_core(st, ctx))
+
+
 # --- A5: receiving surrendered credit ---------------------------------------
+
+
+def _take_role(st: NodeState, ledger: LedgerRows):
+    """Become the chief executive, taking over the books a handover carried."""
+    st.parent = st.id
+    for r, a, i, o in ledger:
+        if o == ZERO and (r, a) not in st.pu_ledger:
+            # Reclaim tombstones ride with a zero mirror.
+            if i != ZERO:
+                st.reclaimable[(r, a)] = st.reclaimable.get((r, a), ZERO) + i
+        else:
+            st.pu_ledger[(r, a)] = (i, o)
 
 
 def on_impc(st: NodeState, frm: NodeId, m: ImPC, ctx: Ctx) -> Out:
@@ -561,8 +553,7 @@ def on_impc(st: NodeState, frm: NodeId, m: ImPC, ctx: Ctx) -> Out:
         if st.state == ACTIVE:
             extra = st.in_map.pop(frm, ZERO)
             st.hold = st.hold + extra
-            if st.is_ce() and st.settled:
-                out.merge(try_announce(st, ctx))
+            out.merge(try_announce(st, ctx))
         return out
 
     folded = st.in_map.pop(frm, ZERO)
@@ -585,38 +576,27 @@ def on_impc(st: NodeState, frm: NodeId, m: ImPC, ctx: Ctx) -> Out:
             continue
         st.out_map[child] = st.out_map.get(child, ZERO) + c
     if m.handover:
-        st.parent = st.id
-        for r, a, i, o in m.ledger:
-            if o == ZERO and (r, a) not in st.pu_ledger:
-                # Reclaim tombstones ride with a zero mirror.
-                if i != ZERO:
-                    st.reclaimable[(r, a)] = st.reclaimable.get((r, a), ZERO) + i
-            else:
-                st.pu_ledger[(r, a)] = (i, o)
+        _take_role(st, m.ledger)
         out.notes.append("became-CE")
 
     out.send(frm, AcK(m.tag, m.parcel))
     if st.state == ACTIVE:
-        if not (m.handover and st.is_ce()):
+        if not m.handover:
             st.awaiting[m.parcel] = AwaitedParcel(frm, absorbed)
             out.timers.append(Timer("aack-timeout", ctx.now + ctx.t_e, m.parcel))
-        if st.is_ce() and st.settled:
-            out.merge(try_announce(st, ctx))
+        out.merge(try_announce(st, ctx))
+    elif m.handover:
+        # A passive heir settles in place as the new executive; the
+        # parcel is settled from this side, so no AAcK wait.
+        st.state = ACTIVE
+        st.settled = True
+        out.merge(try_announce(st, ctx))
+        if st.terminated is None:
+            out.notes.append("settled-as-CE")
     else:
         # Passive absorber: the credit moves straight on (same transition)
-        # so hold==0 still holds at every settled instant. The parcel is
-        # settled from this side; no AAcK wait.
-        st.state = ACTIVE
-        if m.handover:
-            st.settled = True
-            out.merge(try_announce(st, ctx))
-            if st.terminated is None:
-                out.notes.append("settled-as-CE")
-        else:
-            bounce = surrender_core(st, ctx)
-            bounce.label = "A5"
-            bounce.notes.insert(0, "bounce")
-            out.merge(bounce)
+        # so hold==0 still holds at every settled instant.
+        _bounce(st, ctx, out)
     return out
 
 
@@ -650,17 +630,8 @@ def on_imp(st: NodeState, frm: NodeId, m: ImP, ctx: Ctx) -> Out:
             out.send(m.p, ImPC(m.tag, ZERO, 0, (), st.next_parcel()), bucket="special")
             out.notes.append(f"claim-cancel->{m.p}")
         return out
-    if st.state == ACTIVE:
-        st.hold = st.hold + amount
-        return out
-    # Bounce: a passive node cannot sit on credit. Send it onward,
-    # preferring the new parent the ImP named.
+    # Only an active node holds creditor entries: surrender empties them.
     st.hold = st.hold + amount
-    st.state = ACTIVE
-    bounce = surrender_core(st, ctx, preferred=m.p)
-    bounce.label = "A6"
-    bounce.notes.insert(0, "bounce")
-    out.merge(bounce)
     return out
 
 
@@ -703,35 +674,26 @@ def on_ack_timeout(st: NodeState, parcel: Parcel, ctx: Ctx) -> Out:
     if not rec.returned:
         out.notes.append("finalized-sans-ack")
         return out
-    assert st.tag is not None
-    if rec.handover:
+    msg = rec.msg
+    st.hold = st.hold + msg.credit
+    st.state = ACTIVE
+    if msg.handover:
         # My handover came back: resume the role and its books.
-        st.parent = st.id
-        st.hold = st.hold + rec.credit
-        for r, a, i, o in rec.ledger:
-            if o == ZERO:
-                if i != ZERO:
-                    st.reclaimable[(r, a)] = st.reclaimable.get((r, a), ZERO) + i
-            else:
-                st.pu_ledger[(r, a)] = (i, o)
-        st.state = ACTIVE
+        _take_role(st, msg.ledger)
         st.settled = True
         out.notes.append("handover-returned")
         out.merge(surrender_core(st, ctx))  # retry guard (b) or settle
         return out
     # Ordinary parcel: put the credit back in hand and run the guard
     # cascade again against the current world.
-    st.hold = st.hold + rec.credit
-    for child, c in rec.child_map:
+    for child, c in msg.child_map:
         st.out_map[child] = st.out_map.get(child, ZERO) + c
-    st.state = ACTIVE
     retry = surrender_core(st, ctx)
-    for s in retry.sends:
-        if isinstance(s.msg, ImPC):
-            out.sends.append(Send(s.dst, s.msg, "retry"))
-        else:
-            out.sends.append(s)
-    out.timers.extend(retry.timers)
+    out.sends = [
+        Send(s.dst, s.msg, "retry") if isinstance(s.msg, ImPC) else s
+        for s in retry.sends
+    ]
+    out.timers = retry.timers
     out.announce = retry.announce
     out.notes.append("re-sent")
     return out
@@ -808,8 +770,7 @@ def on_pan(st: NodeState, frm: NodeId, m: PaN, ctx: Ctx) -> Out:
         out.notes.append("duplicate-pan")
         return out
     st.pu_ledger[key] = (m.in_credit, m.out_credit)
-    if st.settled:
-        out.merge(try_announce(st, ctx))
+    out.merge(try_announce(st, ctx))
     return out
 
 
@@ -838,10 +799,7 @@ def on_recovery(st: NodeState, ctx: Ctx) -> Out:
         out.notes.append(f"unstranded={render_credit(st.stranded)}")
         st.stranded = ZERO
         if st.state == PASSIVE:
-            st.state = ACTIVE
-            bounce = surrender_core(st, ctx)
-            bounce.notes.insert(0, "bounce")
-            out.merge(bounce)
+            _bounce(st, ctx, out)
     return out
 
 
@@ -877,8 +835,7 @@ def on_nap(st: NodeState, frm: NodeId, m: NaP, ctx: Ctx) -> Out:
         ):
             st.nap_replied.add(frm)
             out.send(frm, TM(st.tag, st.terminated))
-        if st.settled and st.terminated is None:
-            out.merge(try_announce(st, ctx))
+        out.merge(try_announce(st, ctx))
     elif (
         st.state == ACTIVE
         and st.terminated is None
@@ -907,8 +864,7 @@ def on_special(st: NodeState, frm: NodeId, m: Message, ctx: Ctx) -> Out:
         else:
             st.seen_parcels.add(m.parcel)
             st.hold = st.hold + m.credit
-        if st.is_ce() and st.settled and st.terminated is None:
-            out.merge(try_announce(st, ctx))
+        out.merge(try_announce(st, ctx))
         return out
     assert isinstance(m, SpecialReclaim)
     if not _live(st, m.tag, out):
@@ -920,8 +876,7 @@ def on_special(st: NodeState, frm: NodeId, m: Message, ctx: Ctx) -> Out:
         return out
     assert st.tag is not None
     out.send(frm, COM(st.tag, amount, refund=True), bucket="special")
-    if st.is_ce() and st.settled and st.terminated is None:
-        out.merge(try_announce(st, ctx))
+    out.merge(try_announce(st, ctx))
     return out
 
 
@@ -984,7 +939,7 @@ def on_weak_deadline(st: NodeState, ctx: Ctx) -> Out:
 # --- TM --------------------------------------------------------------------
 
 
-def on_tm(st: NodeState, m: TM, ctx: Ctx) -> Out:
+def on_tm(st: NodeState, frm: NodeId, m: TM, ctx: Ctx) -> Out:
     out = Out(label="tm")
     if st.tag is None:
         st.tag = m.tag

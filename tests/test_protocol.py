@@ -85,7 +85,7 @@ def assert_conserved(before, node, out, carried_in=ZERO):
 def test_external_start_creates_chief_executive():
     n = NodeState(id=1, neighbors=frozenset({2}))
     ctx = mkctx({1: n})
-    out = P.on_external_start(n, TAG, ONE, [], ctx)
+    out = P.on_external_start(n, TAG, ONE, ctx)
     assert n.state == ACTIVE and n.is_ce()
     assert n.hold == ONE and n.tag == TAG
     assert out.label == "A1" and not out.sends
@@ -94,9 +94,9 @@ def test_external_start_creates_chief_executive():
 def test_external_start_twice_is_an_error():
     n = NodeState(id=1)
     ctx = mkctx({1: n})
-    P.on_external_start(n, TAG, ONE, [], ctx)
+    P.on_external_start(n, TAG, ONE, ctx)
     with pytest.raises(AlreadyActive):
-        P.on_external_start(n, TAG, ONE, [], ctx)
+        P.on_external_start(n, TAG, ONE, ctx)
 
 
 def test_distribute_sends_shares_and_records_claims():
@@ -380,19 +380,6 @@ def test_imp_from_borrower_returns_the_entry_to_hold():
     assert_conserved(before, n, out)
 
 
-def test_imp_to_passive_holder_bounces():
-    target = active(4, 3, credit(1, 2))
-    n = NodeState(id=3, tag=TAG, in_map={5: credit(1, 10)})
-    ctx = mkctx({3: n, 4: target})
-    before = n.local_credit()
-    out = P.on_imp(n, 5, ImP(TAG, 4), ctx)
-    assert n.state == PASSIVE and n.hold == ZERO
-    onward = [s for s in out.sends if isinstance(s.msg, ImPC)]
-    assert len(onward) == 1 and onward[0].dst == 4
-    assert onward[0].msg.credit == credit(1, 10)
-    assert_conserved(before, n, out)
-
-
 def test_imp_naming_me_as_my_own_parent_is_discarded():
     n = active(6, 5, credit(1, 8))
     ctx = mkctx({6: n})
@@ -406,7 +393,7 @@ def test_imp_naming_me_as_my_own_parent_is_discarded():
 
 def test_ack_finalizes_and_answers_aack():
     n = NodeState(id=3, tag=TAG)
-    n.pending[(3, 1)] = P.PendingSurrender(2, credit(1, 10), 0, (), False, ())
+    n.pending[(3, 1)] = P.PendingSurrender(ImPC(TAG, credit(1, 10), parcel=(3, 1)))
     ctx = mkctx({3: n})
     out = P.on_ack(n, 2, AcK(TAG, (3, 1)), ctx)
     assert not n.pending
@@ -415,7 +402,7 @@ def test_ack_finalizes_and_answers_aack():
 
 def test_timeout_without_returned_cargo_finalizes_silently():
     n = NodeState(id=3, tag=TAG)
-    n.pending[(3, 1)] = P.PendingSurrender(2, credit(1, 10), 0, (), False, ())
+    n.pending[(3, 1)] = P.PendingSurrender(ImPC(TAG, credit(1, 10), parcel=(3, 1)))
     ctx = mkctx({3: n})
     out = P.on_ack_timeout(n, (3, 1), ctx)
     assert not n.pending and not out.sends
@@ -425,7 +412,7 @@ def test_timeout_without_returned_cargo_finalizes_silently():
 def test_timeout_with_returned_cargo_retries():
     parent = active(2, 1, credit(1, 2))
     n = NodeState(id=3, tag=TAG)
-    rec = P.PendingSurrender(4, credit(1, 10), 0, (), False, (), returned=True)
+    rec = P.PendingSurrender(ImPC(TAG, credit(1, 10), parcel=(3, 1)), returned=True)
     n.pending[(3, 1)] = rec
     ctx = mkctx({2: parent, 3: n})
     before = n.local_credit()
@@ -442,7 +429,8 @@ def test_returned_handover_restores_the_role_and_retries():
     ce_books = ((4, 9, ZERO, credit(99, 100)),)
     n = NodeState(id=1, tag=TAG)
     n.pending[(1, 5)] = P.PendingSurrender(
-        2, credit(1, 100), 0, (), True, ce_books, returned=True
+        ImPC(TAG, credit(1, 100), parcel=(1, 5), handover=True, ledger=ce_books),
+        returned=True,
     )
     ctx = mkctx({1: n})
     out = P.on_ack_timeout(n, (1, 5), ctx)
@@ -648,7 +636,7 @@ def test_outstanding_reclaims_block_any_announcement():
 def test_tm_marks_termination():
     n = NodeState(id=4, tag=TAG)
     ctx = mkctx({4: n})
-    P.on_tm(n, TM(TAG, WEAK), ctx)
+    P.on_tm(n, 1, TM(TAG, WEAK), ctx)
     assert n.terminated == WEAK
 
 
