@@ -44,6 +44,9 @@ EXIT_LIVENESS = 4
 EXIT_BOUNDS = 5
 EXIT_REPLAY = 6
 
+# Verdict kinds, most serious first, and the exit code of each.
+VERDICT_EXIT = {"safety": EXIT_SAFETY, "liveness": EXIT_LIVENESS, "bounds": EXIT_BOUNDS}
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -122,6 +125,20 @@ def _execute(scn, seed: int, horizon: float | None, mutations=()):
         return None, eng.trace, e
 
 
+def _verdict(scn, report: RunReport | None, err) -> tuple[str, str] | None:
+    """The most serious thing wrong with one run, as (kind, detail)."""
+    if err is not None:
+        return "safety", str(err)
+    assert report is not None
+    if not scn.events and report.terminated is None:
+        return "liveness", "failure-free run never announced"
+    try:
+        assert_bounds(report.bounds)
+    except BoundsViolation as e:
+        return "bounds", str(e)
+    return None
+
+
 def _text_report(title: str, seed: int, rep: RunReport) -> str:
     if rep.terminated:
         outcome = (
@@ -195,20 +212,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.trace_out:
         tracefile.write_trace(args.trace_out, text, seed, lines, horizon)
 
-    if err is not None:
-        print(f"safety violation: {err}", file=sys.stderr)
-        return EXIT_SAFETY
-    assert report is not None
-    _emit(args, str(path), seed, report)
-    if not scn.events and report.terminated is None:
-        print("liveness violation: failure-free run never announced", file=sys.stderr)
-        return EXIT_LIVENESS
-    try:
-        assert_bounds(report.bounds)
-    except BoundsViolation as e:
-        print(f"bounds violation: {e}", file=sys.stderr)
-        return EXIT_BOUNDS
-    return EXIT_OK
+    if report is not None:
+        _emit(args, str(path), seed, report)
+    verdict = _verdict(scn, report, err)
+    if verdict is None:
+        return EXIT_OK
+    kind, detail = verdict
+    print(f"{kind} violation: {detail}", file=sys.stderr)
+    return VERDICT_EXIT[kind]
 
 
 def _fuzz_nodes(seed: int, fixed: int | None) -> int:
@@ -233,16 +244,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             failure_free=args.failure_free,
         )
         report, lines, err = _execute(scn, seed, horizon, tuple(args.mutate))
-        verdict = None
-        if err is not None:
-            verdict = ("safety", str(err))
-        elif not scn.events and report.terminated is None:
-            verdict = ("liveness", "failure-free run never announced")
-        else:
-            try:
-                assert_bounds(report.bounds)
-            except BoundsViolation as e:
-                verdict = ("bounds", str(e))
+        verdict = _verdict(scn, report, err)
         if verdict:
             kind, detail = verdict
             verdicts[kind] += 1
@@ -278,13 +280,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         for kind, count in sorted(verdicts.items()):
             print(f"  {kind}: {count}")
 
-    if verdicts["safety"]:
-        return EXIT_SAFETY
-    if verdicts["liveness"]:
-        return EXIT_LIVENESS
-    if verdicts["bounds"]:
-        return EXIT_BOUNDS
-    return EXIT_OK
+    return next(
+        (code for kind, code in VERDICT_EXIT.items() if verdicts[kind]), EXIT_OK
+    )
 
 
 def cmd_replay(args: argparse.Namespace) -> int:

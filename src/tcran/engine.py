@@ -133,8 +133,9 @@ class Engine:
 
         self.nodes: dict[NodeId, NodeState] = {}
         self.rt: dict[NodeId, _Runtime] = {}
+        adj = scn.adjacency()
         for nid in scn.nodes():
-            self.nodes[nid] = NodeState(id=nid, neighbors=scn.neighbors(nid))
+            self.nodes[nid] = NodeState(id=nid, neighbors=adj[nid])
             self.rt[nid] = _Runtime(work_left=scn.workload.get(nid, 0.0))
 
         self.world = ChannelWorld(

@@ -88,14 +88,13 @@ class Scenario:
     def nodes(self) -> list[NodeId]:
         return sorted(self.lcs)
 
-    def neighbors(self, nid: NodeId) -> frozenset[NodeId]:
-        out = set()
+    def adjacency(self) -> dict[NodeId, frozenset[NodeId]]:
+        """Every node's neighbors, from one pass over the edges."""
+        adj: dict[NodeId, set[NodeId]] = {nid: set() for nid in self.lcs}
         for a, b in self.edges:
-            if a == nid:
-                out.add(b)
-            elif b == nid:
-                out.add(a)
-        return frozenset(out)
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+        return {nid: frozenset(nbrs) for nid, nbrs in adj.items()}
 
     def validate(self) -> "Scenario":
         nodes = set(self.lcs)
@@ -118,10 +117,11 @@ class Scenario:
                 raise ValidationError(
                     f"edge {a}-{b}: endpoints share no channel at start"
                 )
+        adj = self.adjacency()
         for nid, entries in sorted(self.plan.items()):
             if nid not in nodes:
                 raise ValidationError(f"plan for unknown node {nid}")
-            nbrs = self.neighbors(nid)
+            nbrs = adj[nid]
             seen: set[NodeId] = set()
             for target, share in entries:
                 if target not in nbrs:
@@ -449,10 +449,10 @@ def gen_random_scenario(
         a, b = rng.sample(nodes, 2)
         edges.add((min(a, b), max(a, b)))
 
-    def neighbors(nid):
-        return sorted(
-            b if a == nid else a for a, b in edges if nid in (a, b)
-        )
+    adj: dict[int, set[int]] = {nid: set() for nid in nodes}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
 
     start_node = rng.choice(nodes)
     total = credit(1)
@@ -464,7 +464,7 @@ def gen_random_scenario(
     reached = {start_node}
     while frontier:
         nid = frontier.pop(0)
-        kids = [k for k in neighbors(nid) if k not in reached]
+        kids = [k for k in sorted(adj[nid]) if k not in reached]
         rng.shuffle(kids)
         kids = kids[: rng.randint(0, min(3, len(kids)))]
         if not kids:
@@ -486,7 +486,7 @@ def gen_random_scenario(
         retained = granted[nid] - credit_sum(
             c for _, c in plan.get(nid, ())
         )
-        targets = [k for k in neighbors(nid) if k in reached]
+        targets = [k for k in sorted(adj[nid]) if k in reached]
         if not targets or retained == ZERO:
             continue
         t = rng.choice(targets)

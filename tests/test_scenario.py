@@ -52,7 +52,7 @@ def test_minimal_scenario_parses_with_defaults():
     assert s.choice == "lowest"
     assert not s.work_while_dark
     assert s.nodes() == [1, 2]
-    assert s.neighbors(1) == frozenset({2})
+    assert s.adjacency()[1] == frozenset({2})
 
 
 def test_round_trip_is_identity_on_minimal():
