@@ -214,9 +214,6 @@ class NodeState:
             + self.stranded
         )
 
-    def books_empty(self) -> bool:
-        return not self.in_map and not self.out_map
-
     def ledger_balance(self) -> Credit:
         """Sum of all ledgered parts: the affected nodes' accounted credit."""
         return credit_sum(i + o for i, o in self.pu_ledger.values())
@@ -888,7 +885,9 @@ def try_announce(st: NodeState, ctx: Ctx) -> Out:
     out = Out(label="announce-check")
     if not st.is_ce() or not st.settled or st.terminated is not None:
         return out
-    if not st.books_empty() or st.reclaimable:
+    # out_map entries are claims on credit that has left, not credit:
+    # they cannot block C1/C2 (assert_announcement stays the arbiter).
+    if st.in_map or st.reclaimable:
         return out
     if not st.pu_ledger:
         hold_ok = st.hold == ctx.total_credit
@@ -922,7 +921,7 @@ def on_weak_deadline(st: NodeState, ctx: Ctx) -> Out:
         out.label = "timer-void"
         return out
     if (
-        st.books_empty()
+        not st.in_map
         and not st.reclaimable
         and st.pu_ledger
         and st.hold + st.ledger_balance() == ctx.total_credit
