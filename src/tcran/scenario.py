@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .core import ChannelId, NodeId
 from .credit import Credit, ZERO, credit, credit_sum, parse_credit, render_credit, split_credit
@@ -62,6 +63,17 @@ class Event:
     at: float
     kind: str
     arg: int  # channel for pu-*, node id otherwise
+
+
+def _adjacency(
+    nodes: Iterable[NodeId], edges: Iterable[tuple[NodeId, NodeId]]
+) -> dict[NodeId, frozenset[NodeId]]:
+    """Every node's neighbors, from one pass over the edges."""
+    adj: dict[NodeId, set[NodeId]] = {nid: set() for nid in nodes}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    return {nid: frozenset(nbrs) for nid, nbrs in adj.items()}
 
 
 @dataclass
@@ -89,12 +101,7 @@ class Scenario:
         return sorted(self.lcs)
 
     def adjacency(self) -> dict[NodeId, frozenset[NodeId]]:
-        """Every node's neighbors, from one pass over the edges."""
-        adj: dict[NodeId, set[NodeId]] = {nid: set() for nid in self.lcs}
-        for a, b in self.edges:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-        return {nid: frozenset(nbrs) for nid, nbrs in adj.items()}
+        return _adjacency(self.lcs, self.edges)
 
     def validate(self) -> "Scenario":
         nodes = set(self.lcs)
@@ -449,10 +456,7 @@ def gen_random_scenario(
         a, b = rng.sample(nodes, 2)
         edges.add((min(a, b), max(a, b)))
 
-    adj: dict[int, set[int]] = {nid: set() for nid in nodes}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
+    adj = _adjacency(nodes, edges)
 
     start_node = rng.choice(nodes)
     total = credit(1)
