@@ -12,7 +12,6 @@ from tcran.errors import SafetyViolation
 from tcran.scenario import gen_random_scenario
 
 # Failure-free fuzz seeds in the range that end with no announcement.
-# It held {1006, 2434} until C2 stopped demanding an empty out_map.
 STALE_CLAIM_SEEDS: set[int] = set()
 
 
