@@ -11,7 +11,6 @@ differential testing.
 """
 
 from .credit import BACKEND, Credit, parse_credit, render_credit
-from .core import SessionTag, is_stale
 
 __version__ = "0.1.0"
 
@@ -20,7 +19,5 @@ __all__ = [
     "Credit",
     "parse_credit",
     "render_credit",
-    "SessionTag",
-    "is_stale",
     "__version__",
 ]

@@ -88,7 +88,7 @@ def tree_height(nodes: dict[NodeId, NodeState]) -> int:
     in_tree = [
         n
         for n in nodes.values()
-        if n.state == ACTIVE or (n.dark and n.tag is not None)
+        if n.state == ACTIVE or (n.dark and n.joined)
     ]
     height = 0
     for n in in_tree:

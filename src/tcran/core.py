@@ -1,8 +1,12 @@
-"""Identifiers, session tags, and the full message vocabulary.
+"""Identifiers and the full message vocabulary.
 
 Everything here is an immutable value object: safe to copy, hash, and
 embed in trace lines.  Message payload rendering (``describe``) is the
 canonical wire text used by traces, so it must stay deterministic.
+
+A run carries exactly one computation: one initiator hands out the one
+credit the protocol conserves.  Messages therefore carry no session
+identity; a node only needs to know whether it has joined.
 """
 
 from __future__ import annotations
@@ -28,30 +32,8 @@ def render_parcel(p: Parcel) -> str:
     return f"{p[0]}.{p[1]}"
 
 
-@dataclass(frozen=True, order=True)
-class SessionTag:
-    """Computation identity: ordered lexicographically by (session, initiator)."""
-
-    session: int
-    initiator: NodeId
-
-    def __str__(self) -> str:
-        return f"{self.session}:{self.initiator}"
-
-
-def is_stale(msg_tag: SessionTag, local_tag: SessionTag) -> bool:
-    """True iff the message belongs to a session the receiver already left behind.
-
-    Strictly-less comparison: equal tags are live, and a *newer* tag is
-    never stale (it supersedes the receiver instead).
-    """
-    return msg_tag < local_tag
-
-
 @dataclass(frozen=True)
 class Message:
-    tag: SessionTag
-
     kind: ClassVar[str] = "?"
 
     def describe(self) -> str:

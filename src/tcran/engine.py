@@ -41,7 +41,6 @@ from .core import (
     NaP,
     NodeId,
     PaN,
-    SessionTag,
     SpecialForward,
     SpecialReclaim,
     TM,
@@ -129,7 +128,6 @@ class Engine:
         unknown = sorted(self.mutations - set(P.KNOWN_MUTATIONS))
         if unknown:
             raise ValueError(f"unknown mutations {unknown}")
-        self.tag = SessionTag(0, scn.start_node)
 
         self.nodes: dict[NodeId, NodeState] = {}
         self.rt: dict[NodeId, _Runtime] = {}
@@ -311,11 +309,9 @@ class Engine:
             self.last_activity,
         )
         self._trace(nid, "announce", mode)
-        st = self.nodes[nid]
-        assert st.tag is not None
         for other in self.scn.nodes():
             if other != nid:
-                self._enqueue_send(nid, P.Send(other, TM(st.tag, mode), "TM"))
+                self._enqueue_send(nid, P.Send(other, TM(mode), "TM"))
 
     # --- workload ------------------------------------------------------------------
 
@@ -345,7 +341,7 @@ class Engine:
             and not st.awaiting
             and rt.work_deadline is None
             and rt.work_left == 0.0
-            and st.tag is not None
+            and st.joined
         ):
             out = P.on_idle(st, self._ctx(nid))
             self._apply(nid, out, "workload done")
@@ -510,9 +506,7 @@ class Engine:
 
         if kind == "start":
             st = self.nodes[self.scn.start_node]
-            out = P.on_external_start(
-                st, self.tag, self.scn.credit_total, self._ctx(st.id)
-            )
+            out = P.on_external_start(st, self.scn.credit_total, self._ctx(st.id))
             self.started = True
             self._apply(st.id, out, f"credit={render_credit(self.scn.credit_total)}")
             if self.scn.plan.get(st.id):
@@ -549,7 +543,7 @@ class Engine:
                 self.nodes[affected].dark
                 and obs.state == ACTIVE
                 and not obs.dark
-                and obs.tag is not None
+                and obs.joined
             ):
                 out = P.on_neighbor_affected(obs, affected, self._ctx(observer))
                 self._apply(observer, out, f"neighbor {affected} dark")
@@ -694,7 +688,7 @@ class Engine:
         )
 
     def _bound_params(self) -> dict[str, int]:
-        participants = {n.id for n in self.nodes.values() if n.tag is not None}
+        participants = {n.id for n in self.nodes.values() if n.joined}
         nbr = 0
         for nid in participants:
             nbr = max(nbr, len(self.nodes[nid].neighbors & participants))
@@ -729,7 +723,7 @@ def _busy(st: NodeState, rt: _Runtime) -> bool:
 
 def _shape(st: NodeState) -> tuple:
     """Everything of a node that checker.tree_height reads."""
-    return (st.state, st.parent, st.dark and st.tag is not None)
+    return (st.state, st.parent, st.dark and st.joined)
 
 
 def run_scenario(

@@ -10,6 +10,10 @@ Transition labels in trace output follow the protocol's action table
 names: A1..A6 for credit distribution/aggregation, B1..B4 for the
 affected-node flows, C1/C2 for the weak/strong announcements.
 
+A run carries one computation.  A node joins it through A1, its first
+COM, or a TM; the only delivery filter is the discard at a node that
+already knows the computation terminated.
+
 Local conservation contract: the physical credit carried in by the event
 plus the node's holdings before it equals the holdings after it plus the
 credit carried out in sends.  The engine's omniscient checker re-verifies
@@ -35,12 +39,10 @@ from .core import (
     PaN,
     Parcel,
     STRONG,
-    SessionTag,
     SpecialForward,
     SpecialReclaim,
     TM,
     WEAK,
-    is_stale,
     render_credit,
 )
 from .credit import Credit, ZERO, credit_sum
@@ -160,7 +162,7 @@ class NodeState:
     hold: Credit = ZERO
     in_map: dict[NodeId, Credit] = field(default_factory=dict)
     out_map: dict[NodeId, Credit] = field(default_factory=dict)
-    tag: SessionTag | None = None
+    joined: bool = False  # took part in the computation (A1, a COM, or a TM)
     settled: bool = False  # C_E finished local work; announcement precondition
     terminated: str | None = None
 
@@ -239,12 +241,9 @@ class NodeState:
         return ",".join(parts)
 
 
-def _live(st: NodeState, tag: SessionTag, out: Out) -> bool:
-    """Stale/terminated filtering shared by every message handler."""
-    if st.tag is not None and is_stale(tag, st.tag):
-        out.label = "stale-discard"
-        return False
-    if st.terminated is not None and st.tag is not None and tag == st.tag:
+def _live(st: NodeState, out: Out) -> bool:
+    """Post-termination filtering shared by the message handlers."""
+    if st.terminated is not None:
         out.label = "post-term-discard"
         return False
     return True
@@ -261,13 +260,13 @@ def _strand_cargo(st: NodeState, amount: Credit, out: Out):
 # --- A1/A2: start and distribution ---------------------------------------
 
 
-def on_external_start(st: NodeState, tag: SessionTag, credit_c: Credit, ctx: Ctx) -> Out:
+def on_external_start(st: NodeState, credit_c: Credit, ctx: Ctx) -> Out:
     """A1: external kick-off at the initiator, who becomes C_E."""
     if st.state == ACTIVE:
         raise AlreadyActive(f"node {st.id} already active")
     st.state = ACTIVE
     st.parent = st.id
-    st.tag = tag
+    st.joined = True
     st.hold = credit_c
     return Out(label="A1")
 
@@ -283,11 +282,10 @@ def distribute(st: NodeState, plan: list[tuple[NodeId, Credit]], ctx: Ctx) -> Ou
             f"node {st.id}: distributing {render_credit(shares)} of "
             f"{render_credit(st.hold)} would leave nothing retained"
         )
-    assert st.tag is not None
     for target, share in plan:
         st.hold = st.hold - share
         st.out_map[target] = st.out_map.get(target, ZERO) + share
-        out.send(target, COM(st.tag, share))
+        out.send(target, COM(share))
     st.distributed = True
     return out
 
@@ -297,8 +295,8 @@ def distribute(st: NodeState, plan: list[tuple[NodeId, Credit]], ctx: Ctx) -> Ou
 
 def on_com(st: NodeState, frm: NodeId, m: COM, ctx: Ctx) -> Out:
     out = Out(label="A3")
-    if not _live(st, m.tag, out):
-        # Stale or post-announcement credit has nowhere live to go; park it.
+    if not _live(st, out):
+        # Post-announcement credit has nowhere live to go; park it.
         _strand_cargo(st, m.credit, out)
         return out
     if st.state == PASSIVE:
@@ -307,7 +305,7 @@ def on_com(st: NodeState, frm: NodeId, m: COM, ctx: Ctx) -> Out:
         assert st.parent is None, f"passive node {st.id} with parent set"
         st.state = ACTIVE
         st.parent = frm
-        st.tag = m.tag
+        st.joined = True
         st.hold = st.hold + m.credit
         out.notes.append("activated")
     else:
@@ -374,9 +372,7 @@ def _send_parcel(
     ledger: LedgerRows = (),
 ):
     """Launch one ImPC parcel: escrow record, send, and the AcK timer."""
-    assert st.tag is not None
     msg = ImPC(
-        st.tag,
         amount,
         len(child_map),
         child_map,
@@ -425,13 +421,12 @@ def _convert_dark_claims(st: NodeState, ctx: Ctx, out: Out):
     of.  Surrendering would drop that claim and with it the only mirror
     of the darkened credit, so it is ledgered here instead.
     """
-    assert st.tag is not None
     for k in sorted(st.out_map):
         if ctx.view(k).dark:
             amount = st.out_map.pop(k)
             in_part = st.in_map.pop(k, ZERO)
             st.reported_in[k] = st.reported_in.get(k, ZERO) + in_part
-            out.send(None, PaN(st.tag, k, in_part, amount), bucket="special")
+            out.send(None, PaN(k, in_part, amount), bucket="special")
 
 
 def surrender_core(st: NodeState, ctx: Ctx) -> Out:
@@ -445,7 +440,6 @@ def surrender_core(st: NodeState, ctx: Ctx) -> Out:
     settles in place and tries to announce.
     """
     out = Out(label="A4")
-    assert st.tag is not None
     _convert_dark_claims(st, ctx, out)
 
     handover = st.is_ce()
@@ -479,7 +473,7 @@ def surrender_core(st: NodeState, ctx: Ctx) -> Out:
     _send_parcel(st, ctx, out, target, st.hold + folded, child_map, handover, ledger)
     if target is not None:
         for k in kids:
-            out.send(k, ImP(st.tag, target))
+            out.send(k, ImP(target))
     if handover:
         out.notes.append(f"handover->{target}")
     elif target is None:
@@ -490,7 +484,7 @@ def surrender_core(st: NodeState, ctx: Ctx) -> Out:
         for k in sorted(st.out_map):
             p = ctx.view(k)
             if k != target and k not in kids and p.active and not p.dark:
-                out.send(k, ImP(st.tag, target))
+                out.send(k, ImP(target))
         out.notes.append(f"surrender->{target}")
 
     st.surrenders += 1
@@ -534,9 +528,7 @@ def _take_role(st: NodeState, ledger: LedgerRows):
 
 def on_impc(st: NodeState, frm: NodeId, m: ImPC, ctx: Ctx) -> Out:
     out = Out(label="A5")
-    if st.tag is None:
-        st.tag = m.tag
-    if not _live(st, m.tag, out):
+    if not _live(st, out):
         _strand_cargo(st, m.carried_credit(), out)
         return out
     if m.credit == ZERO and m.b == 0 and not m.handover:
@@ -576,7 +568,7 @@ def on_impc(st: NodeState, frm: NodeId, m: ImPC, ctx: Ctx) -> Out:
         _take_role(st, m.ledger)
         out.notes.append("became-CE")
 
-    out.send(frm, AcK(m.tag, m.parcel))
+    out.send(frm, AcK(m.parcel))
     if st.state == ACTIVE:
         if not m.handover:
             st.awaiting[m.parcel] = AwaitedParcel(frm, absorbed)
@@ -602,7 +594,7 @@ def on_impc(st: NodeState, frm: NodeId, m: ImPC, ctx: Ctx) -> Out:
 
 def on_imp(st: NodeState, frm: NodeId, m: ImP, ctx: Ctx) -> Out:
     out = Out(label="A6")
-    if not _live(st, m.tag, out):
+    if not _live(st, out):
         return out
     if frm == st.parent:
         if m.p == st.id:
@@ -624,7 +616,7 @@ def on_imp(st: NodeState, frm: NodeId, m: ImP, ctx: Ctx) -> Out:
         # would wait forever on a payment that went elsewhere: void the
         # claim explicitly with an empty parcel.
         if m.p != st.id:
-            out.send(m.p, ImPC(m.tag, ZERO, 0, (), st.next_parcel()), bucket="special")
+            out.send(m.p, ImPC(ZERO, 0, (), st.next_parcel()), bucket="special")
             out.notes.append(f"claim-cancel->{m.p}")
         return out
     # Only an active node holds creditor entries: surrender empties them.
@@ -644,8 +636,7 @@ def on_ack(st: NodeState, frm: NodeId, m: AcK, ctx: Ctx) -> Out:
         out.label = "stale-ack"
         return out
     del st.pending[m.parcel]
-    assert st.tag is not None
-    out.send(frm, AAcK(st.tag, m.parcel))
+    out.send(frm, AAcK(m.parcel))
     return out
 
 
@@ -703,7 +694,6 @@ def on_aack_timeout(st: NodeState, parcel: Parcel, ctx: Ctx) -> Out:
     if rec is None:
         out.label = "timer-void"
         return out
-    assert st.tag is not None
     if st.hold < rec.amount:
         raise NegativeCredit(
             f"node {st.id}: awaiting extraction {render_credit(rec.amount)} "
@@ -718,7 +708,7 @@ def on_aack_timeout(st: NodeState, parcel: Parcel, ctx: Ctx) -> Out:
         return out
     out.send(
         None,
-        SpecialForward(st.tag, rec.amount, st.id, parcel),
+        SpecialForward(rec.amount, st.id, parcel),
         bucket="special",
     )
     return out
@@ -730,22 +720,18 @@ def on_aack_timeout(st: NodeState, parcel: Parcel, ctx: Ctx) -> Out:
 def on_neighbor_affected(st: NodeState, affected: NodeId, ctx: Ctx) -> Out:
     """B1 reporter side: ship my records about the dark node to C_E."""
     out = Out(label="B1")
-    if st.state != ACTIVE or st.terminated is not None or st.tag is None:
+    if st.state != ACTIVE or st.terminated is not None or not st.joined:
         return out
     in_part = st.in_map.pop(affected, ZERO)
     out_part = st.out_map.pop(affected, ZERO)
     st.reported_in[affected] = st.reported_in.get(affected, ZERO) + in_part
-    out.send(None, PaN(st.tag, affected, in_part, out_part))
+    out.send(None, PaN(affected, in_part, out_part))
     return out
 
 
 def on_pan(st: NodeState, frm: NodeId, m: PaN, ctx: Ctx) -> Out:
     """B2 at the chief executive: ledger the report, idempotently."""
     out = Out(label="B2")
-    if st.tag is not None and is_stale(m.tag, st.tag):
-        out.label = "stale-discard"
-        _strand_cargo(st, m.in_credit, out)
-        return out
     if not st.is_ce():
         # Role-addressed delivery resolves the executive at delivery
         # time, so organically this cannot fire.
@@ -780,17 +766,17 @@ def on_recovery(st: NodeState, ctx: Ctx) -> Out:
     Cargo that was dropped on this node while it was dark is folded back
     into its hold; a passive node cannot keep holding it, so it bounces
     the credit onward through the ordinary surrender guards.  A node that
-    never joined the session (no tag) cannot address anyone and keeps its
+    never joined the computation cannot address anyone and keeps its
     strandings parked.
     """
     out = Out(label="B3")
-    if st.tag is None:
+    if not st.joined:
         return out
-    out.send(None, NaP(st.tag, st.id))
+    out.send(None, NaP(st.id))
     for k in sorted(st.neighbors):
         p = ctx.view(k)
         if p.active and not p.dark:
-            out.send(k, NaP(st.tag, st.id))
+            out.send(k, NaP(st.id))
     if st.stranded != ZERO and st.terminated is None:
         st.hold = st.hold + st.stranded
         out.notes.append(f"unstranded={render_credit(st.stranded)}")
@@ -804,9 +790,6 @@ def on_nap(st: NodeState, frm: NodeId, m: NaP, ctx: Ctx) -> Out:
     """B4: at C_E, release the recovered node's ledger; at a neighbor,
     ask for the previously shipped credit back."""
     out = Out(label="B4")
-    if st.tag is None or is_stale(m.tag, st.tag):
-        out.label = "stale-discard"
-        return out
     if st.is_ce():
         for key in [k for k in sorted(st.pu_ledger) if k[1] == m.recovered]:
             reporter = key[0]
@@ -831,7 +814,7 @@ def on_nap(st: NodeState, frm: NodeId, m: NaP, ctx: Ctx) -> Out:
             and frm not in st.nap_replied
         ):
             st.nap_replied.add(frm)
-            out.send(frm, TM(st.tag, st.terminated))
+            out.send(frm, TM(st.terminated))
         out.merge(try_announce(st, ctx))
     elif (
         st.state == ACTIVE
@@ -839,7 +822,7 @@ def on_nap(st: NodeState, frm: NodeId, m: NaP, ctx: Ctx) -> Out:
         and st.reported_in.get(m.recovered, ZERO) != ZERO
     ):
         st.reported_in.pop(m.recovered, None)
-        out.send(None, SpecialReclaim(st.tag, m.recovered), bucket="special")
+        out.send(None, SpecialReclaim(m.recovered), bucket="special")
     return out
 
 
@@ -851,7 +834,7 @@ def on_special(st: NodeState, frm: NodeId, m: Message, ctx: Ctx) -> Out:
     exactly once per parcel; reclaim requests get a refund COM."""
     out = Out(label="special")
     if isinstance(m, SpecialForward):
-        if not _live(st, m.tag, out):
+        if not _live(st, out):
             _strand_cargo(st, m.credit, out)
             return out
         if m.parcel in st.seen_parcels:
@@ -864,15 +847,14 @@ def on_special(st: NodeState, frm: NodeId, m: Message, ctx: Ctx) -> Out:
         out.merge(try_announce(st, ctx))
         return out
     assert isinstance(m, SpecialReclaim)
-    if not _live(st, m.tag, out):
+    if not _live(st, out):
         return out
     key = (frm, m.affected)
     amount = st.reclaimable.pop(key, ZERO)
     if amount == ZERO:
         out.notes.append("nothing-reclaimable")
         return out
-    assert st.tag is not None
-    out.send(frm, COM(st.tag, amount, refund=True), bucket="special")
+    out.send(frm, COM(amount, refund=True), bucket="special")
     out.merge(try_announce(st, ctx))
     return out
 
@@ -940,10 +922,6 @@ def on_weak_deadline(st: NodeState, ctx: Ctx) -> Out:
 
 def on_tm(st: NodeState, frm: NodeId, m: TM, ctx: Ctx) -> Out:
     out = Out(label="tm")
-    if st.tag is None:
-        st.tag = m.tag
-    if is_stale(m.tag, st.tag):
-        out.label = "stale-discard"
-        return out
+    st.joined = True
     st.terminated = m.mode
     return out

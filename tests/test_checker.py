@@ -12,21 +12,18 @@ from tcran.checker import (
     message_bounds_report,
     tree_height,
 )
-from tcran.core import STRONG, WEAK, SessionTag
+from tcran.core import STRONG, WEAK
 from tcran.credit import ONE, ZERO, credit
 from tcran.errors import BoundsViolation, SafetyViolation
 from tcran.protocol import ACTIVE, PASSIVE, NodeState
 
-TAG = SessionTag(1, 1)
-
-
-def node(nid, parent=None, state=ACTIVE, hold=ZERO, dark=False, tag=TAG, **kw):
+def node(nid, parent=None, state=ACTIVE, hold=ZERO, dark=False, joined=True, **kw):
     st = NodeState(id=nid, neighbors=frozenset())
     st.state = state
     st.parent = parent
     st.hold = hold
     st.dark = dark
-    st.tag = tag
+    st.joined = joined
     for k, v in kw.items():
         setattr(st, k, v)
     return st

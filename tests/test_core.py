@@ -1,9 +1,4 @@
-"""Session tags, staleness, and message value objects."""
-
-from itertools import product
-
-from hypothesis import given
-from hypothesis import strategies as st
+"""Message value objects: wire text, carried credit, delivery priority."""
 
 from tcran.core import (
     AAcK,
@@ -13,63 +8,25 @@ from tcran.core import (
     ImPC,
     NaP,
     PaN,
-    SessionTag,
     SpecialForward,
     SpecialReclaim,
     TM,
-    is_stale,
     priority_class,
 )
 from tcran.credit import ZERO, credit
 
-TAG = SessionTag(1, 1)
-
-
-def test_stale_when_session_strictly_older():
-    assert is_stale(SessionTag(3, 1), SessionTag(5, 1))
-
-
-def test_same_tag_is_live():
-    assert not is_stale(SessionTag(5, 1), SessionTag(5, 1))
-
-
-def test_same_session_higher_initiator_is_live():
-    assert not is_stale(SessionTag(5, 2), SessionTag(5, 1))
-
-
-def test_two_initiator_ordering_never_discards_a_live_session():
-    # Exhaustive over a small grid: a strictly lexicographically greater
-    # tag must never read as stale, equal tags are live both ways, and
-    # distinct tags are stale in exactly one direction.
-    tags = [SessionTag(s, i) for s, i in product(range(4), (1, 2))]
-    for a, b in product(tags, tags):
-        key_a, key_b = (a.session, a.initiator), (b.session, b.initiator)
-        assert is_stale(a, b) == (key_a < key_b)
-        if a == b:
-            assert not is_stale(a, b) and not is_stale(b, a)
-        else:
-            assert is_stale(a, b) != is_stale(b, a)
-
-
-@given(st.integers(0, 9), st.integers(1, 9), st.integers(0, 9), st.integers(1, 9))
-def test_staleness_is_a_strict_order(s1, i1, s2, i2):
-    a, b = SessionTag(s1, i1), SessionTag(s2, i2)
-    assert not (is_stale(a, b) and is_stale(b, a))
-    if a == b:
-        assert not is_stale(a, b)
-
 
 def test_acknowledgements_outrank_all_other_kinds():
-    ack_like = [AcK(TAG, (1, 1)), AAcK(TAG, (1, 1))]
+    ack_like = [AcK((1, 1)), AAcK((1, 1))]
     ordinary = [
-        COM(TAG, credit(1, 2)),
-        ImPC(TAG, credit(1, 2), 0),
-        ImP(TAG, 3),
-        TM(TAG, "strong"),
-        PaN(TAG, 4, ZERO, ZERO),
-        NaP(TAG, 4),
-        SpecialForward(TAG, credit(1, 3), 2, (2, 1)),
-        SpecialReclaim(TAG, 4),
+        COM(credit(1, 2)),
+        ImPC(credit(1, 2), 0),
+        ImP(3),
+        TM("strong"),
+        PaN(4, ZERO, ZERO),
+        NaP(4),
+        SpecialForward(credit(1, 3), 2, (2, 1)),
+        SpecialReclaim(4),
     ]
     for m in ack_like:
         assert priority_class(m) == 0
@@ -78,16 +35,15 @@ def test_acknowledgements_outrank_all_other_kinds():
 
 
 def test_carried_credit_counts_cargo_not_claims():
-    assert COM(TAG, credit(9, 10)).carried_credit() == credit(9, 10)
-    assert PaN(TAG, 4, credit(1, 5), credit(2, 5)).carried_credit() == credit(1, 5)
-    assert SpecialForward(TAG, credit(1, 3), 2, (2, 1)).carried_credit() == credit(1, 3)
-    assert ImP(TAG, 3).carried_credit() == ZERO
-    assert NaP(TAG, 4).carried_credit() == ZERO
+    assert COM(credit(9, 10)).carried_credit() == credit(9, 10)
+    assert PaN(4, credit(1, 5), credit(2, 5)).carried_credit() == credit(1, 5)
+    assert SpecialForward(credit(1, 3), 2, (2, 1)).carried_credit() == credit(1, 3)
+    assert ImP(3).carried_credit() == ZERO
+    assert NaP(4).carried_credit() == ZERO
 
 
 def test_impc_cargo_includes_riding_ledger_in_parts_only():
     m = ImPC(
-        TAG,
         credit(1, 4),
         b=1,
         child_map=((5, credit(1, 8)),),
@@ -101,22 +57,21 @@ def test_impc_cargo_includes_riding_ledger_in_parts_only():
 
 def test_describe_is_deterministic_wire_text():
     m = ImPC(
-        TAG,
         credit(1, 10),
         b=1,
         child_map=((6, credit(7, 20)),),
         parcel=(5, 1),
     )
     assert m.describe() == "ImPC(1/10,b=1,children[6>7/20],parcel=5.1)"
-    assert COM(TAG, credit(9, 10)).describe() == "COM(9/10)"
-    assert COM(TAG, credit(1, 5), refund=True).describe() == "COM(1/5,refund)"
-    assert AcK(TAG, (5, 1)).describe() == "AcK(5.1)"
-    assert TM(TAG, "weak").describe() == "TM(weak)"
-    assert PaN(TAG, 3, credit(1, 5), ZERO).describe() == "PaN(3,in=1/5,out=0)"
+    assert COM(credit(9, 10)).describe() == "COM(9/10)"
+    assert COM(credit(1, 5), refund=True).describe() == "COM(1/5,refund)"
+    assert AcK((5, 1)).describe() == "AcK(5.1)"
+    assert TM("weak").describe() == "TM(weak)"
+    assert PaN(3, credit(1, 5), ZERO).describe() == "PaN(3,in=1/5,out=0)"
 
 
 def test_messages_are_hashable_values():
-    a = COM(TAG, credit(1, 2))
-    b = COM(TAG, credit(1, 2))
+    a = COM(credit(1, 2))
+    b = COM(credit(1, 2))
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1

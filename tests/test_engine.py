@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tcran.core import COM, ImP, SessionTag, TM
+from tcran.core import COM, ImP, TM
 from tcran.credit import ZERO, credit
 from tcran.engine import Engine, run_scenario
 from tcran.errors import HorizonExceeded, SafetyViolation
@@ -262,12 +262,12 @@ def finished_engine(name="sec6"):
 
 
 def test_stale_zero_cargo_messages_change_nothing_after_tm():
+    # Late messages reach nodes that already heard the announcement.
     eng = finished_engine()
-    old = SessionTag(-1, 1)
     holds = {nid: st.hold for nid, st in eng.nodes.items()}
-    eng.inject(eng.now + 1, 3, 2, COM(old, ZERO))
-    eng.inject(eng.now + 1, 3, 2, ImP(old, p=1))
-    eng.inject(eng.now + 1, 3, 2, TM(old, mode="strong"))
+    eng.inject(eng.now + 1, 3, 2, COM(ZERO))
+    eng.inject(eng.now + 1, 3, 2, ImP(p=1))
+    eng.inject(eng.now + 1, 3, 2, TM(mode="strong"))
     eng.run()
     assert {nid: st.hold for nid, st in eng.nodes.items()} == holds
     assert eng.announce[0] == "strong"  # still the one announcement
@@ -275,7 +275,7 @@ def test_stale_zero_cargo_messages_change_nothing_after_tm():
 
 def test_injected_foreign_credit_is_caught_by_conservation():
     eng = finished_engine()
-    eng.inject(eng.now + 1, 3, 2, COM(SessionTag(-1, 1), credit(1, 3)))
+    eng.inject(eng.now + 1, 3, 2, COM(credit(1, 3)))
     with pytest.raises(SafetyViolation, match="credit sum"):
         eng.run()
 

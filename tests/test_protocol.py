@@ -18,7 +18,6 @@ from tcran.core import (
     NaP,
     PaN,
     STRONG,
-    SessionTag,
     SpecialForward,
     SpecialReclaim,
     TM,
@@ -33,11 +32,6 @@ from tcran.errors import (
 )
 from tcran import protocol as P
 from tcran.protocol import ACTIVE, PASSIVE, Ctx, NodeState, Peer
-
-TAG = SessionTag(1, 1)
-OLD = SessionTag(0, 1)
-NEW = SessionTag(2, 1)
-
 
 def mkctx(nodes, now=0.0, total=ONE):
     def view(k):
@@ -66,7 +60,7 @@ def mkctx(nodes, now=0.0, total=ONE):
 
 def active(nid, parent, hold, **kw):
     return NodeState(
-        id=nid, state=ACTIVE, parent=parent, hold=hold, tag=TAG, **kw
+        id=nid, state=ACTIVE, parent=parent, hold=hold, joined=True, **kw
     )
 
 
@@ -85,18 +79,18 @@ def assert_conserved(before, node, out, carried_in=ZERO):
 def test_external_start_creates_chief_executive():
     n = NodeState(id=1, neighbors=frozenset({2}))
     ctx = mkctx({1: n})
-    out = P.on_external_start(n, TAG, ONE, ctx)
+    out = P.on_external_start(n, ONE, ctx)
     assert n.state == ACTIVE and n.is_ce()
-    assert n.hold == ONE and n.tag == TAG
+    assert n.hold == ONE and n.joined
     assert out.label == "A1" and not out.sends
 
 
 def test_external_start_twice_is_an_error():
     n = NodeState(id=1)
     ctx = mkctx({1: n})
-    P.on_external_start(n, TAG, ONE, ctx)
+    P.on_external_start(n, ONE, ctx)
     with pytest.raises(AlreadyActive):
-        P.on_external_start(n, TAG, ONE, ctx)
+        P.on_external_start(n, ONE, ctx)
 
 
 def test_distribute_sends_shares_and_records_claims():
@@ -124,10 +118,10 @@ def test_distribute_must_retain_something():
 def test_com_activates_a_passive_node():
     n = NodeState(id=2)
     ctx = mkctx({2: n})
-    m = COM(TAG, credit(3, 10))
+    m = COM(credit(3, 10))
     before = n.local_credit()
     out = P.on_com(n, 1, m, ctx)
-    assert n.state == ACTIVE and n.parent == 1 and n.tag == TAG
+    assert n.state == ACTIVE and n.parent == 1 and n.joined
     assert n.hold == credit(3, 10)
     assert_conserved(before, n, out, carried_in=m.carried_credit())
 
@@ -135,7 +129,7 @@ def test_com_activates_a_passive_node():
 def test_com_to_active_node_records_the_creditor():
     n = active(3, 2, credit(1, 10))
     ctx = mkctx({3: n})
-    m = COM(TAG, credit(1, 20))
+    m = COM(credit(1, 20))
     out = P.on_com(n, 5, m, ctx)
     assert n.hold == credit(1, 10)  # hold untouched
     assert n.in_map == {5: credit(1, 20)}
@@ -143,10 +137,11 @@ def test_com_to_active_node_records_the_creditor():
 
 
 def test_stale_com_is_discarded_and_cargo_parked():
-    n = active(3, 2, credit(1, 10))
+    # Arriving after the announcement, the credit has nowhere live to go.
+    n = active(3, 2, credit(1, 10), terminated=STRONG)
     ctx = mkctx({3: n})
-    out = P.on_com(n, 5, COM(OLD, credit(1, 20)), ctx)
-    assert out.label == "stale-discard"
+    out = P.on_com(n, 5, COM(credit(1, 20)), ctx)
+    assert out.label == "post-term-discard"
     assert n.stranded == credit(1, 20)
     assert n.in_map == {}
 
@@ -243,7 +238,7 @@ def test_impc_empty_parcel_cancels_a_held_claim():
     # handshake, the sender's out-entry simply dies.
     n = active(3, 2, credit(2, 10), out_map={9: credit(1, 10)})
     ctx = mkctx({3: n})
-    m = ImPC(TAG, ZERO, 0, (), (9, 1))
+    m = ImPC(ZERO, 0, (), (9, 1))
     out = P.on_impc(n, 9, m, ctx)
     assert n.hold == credit(2, 10)
     assert n.out_map == {}
@@ -254,11 +249,11 @@ def test_impc_empty_parcel_cancels_a_held_claim():
 def test_impc_cancel_ahead_of_its_claim_leaves_a_marker():
     n = active(3, 2, credit(2, 10))
     ctx = mkctx({3: n})
-    out = P.on_impc(n, 9, ImPC(TAG, ZERO, 0, (), (9, 1)), ctx)
+    out = P.on_impc(n, 9, ImPC(ZERO, 0, (), (9, 1)), ctx)
     assert out.label == "claim-cancel"
     assert n.prepaid == {9: 1}
     # The late claim arrives inside a child_map and is void on arrival.
-    m = ImPC(TAG, credit(1, 10), 1, ((9, credit(1, 8)),), (4, 1))
+    m = ImPC(credit(1, 10), 1, ((9, credit(1, 8)),), (4, 1))
     out = P.on_impc(n, 4, m, ctx)
     assert n.prepaid == {}
     assert 9 not in n.out_map
@@ -270,7 +265,7 @@ def test_impc_structured_from_stranger_is_absorbed():
     # arrives with no relationship evidence; it must still be honored.
     n = active(3, 2, credit(2, 10))
     ctx = mkctx({3: n})
-    m = ImPC(TAG, credit(1, 10), 1, ((7, credit(1, 10)),), (9, 1))
+    m = ImPC(credit(1, 10), 1, ((7, credit(1, 10)),), (9, 1))
     out = P.on_impc(n, 9, m, ctx)
     assert n.hold == credit(3, 10)
     assert n.out_map == {7: credit(1, 10)}
@@ -281,7 +276,7 @@ def test_impc_structured_from_stranger_is_absorbed():
 def test_impc_absorb_folds_creditor_entry():
     n = active(4, 3, credit(1, 4), in_map={6: credit(1, 20)})
     ctx = mkctx({4: n})
-    m = ImPC(TAG, credit(3, 10), 0, (), (6, 2))
+    m = ImPC(credit(3, 10), 0, (), (6, 2))
     before = n.local_credit()
     out = P.on_impc(n, 6, m, ctx)
     assert n.hold == credit(1, 4) + credit(3, 10) + credit(1, 20)
@@ -295,7 +290,6 @@ def test_impc_adopts_children_and_drops_self_claims():
     n = active(2, 1, credit(1, 10), out_map={5: credit(1, 8)})
     ctx = mkctx({2: n})
     m = ImPC(
-        TAG,
         credit(1, 10),
         2,
         ((7, credit(1, 8)), (2, credit(1, 16))),
@@ -307,10 +301,10 @@ def test_impc_adopts_children_and_drops_self_claims():
 
 
 def test_impc_to_passive_node_bounces_onward():
-    n = NodeState(id=6, tag=TAG)
+    n = NodeState(id=6, joined=True)
     target = active(4, 3, credit(1, 2))
     ctx = mkctx({4: target, 6: n})
-    m = ImPC(TAG, credit(1, 10), 0, (), (5, 3))
+    m = ImPC(credit(1, 10), 0, (), (5, 3))
     before = n.local_credit()
     out = P.on_impc(n, 5, m, ctx)
     assert n.state == PASSIVE and n.hold == ZERO  # activated, then bounced
@@ -328,7 +322,7 @@ def test_handover_impc_transfers_the_role():
     n = active(2, 1, credit(3, 10))
     ctx = mkctx({2: n})
     rows = ((4, 9, credit(1, 100), credit(1, 50)),)
-    m = ImPC(TAG, credit(7, 10), 0, (), (1, 7), handover=True, ledger=rows)
+    m = ImPC(credit(7, 10), 0, (), (1, 7), handover=True, ledger=rows)
     before = n.local_credit()
     out = P.on_impc(n, 1, m, ctx)
     assert n.is_ce()
@@ -339,20 +333,20 @@ def test_handover_impc_transfers_the_role():
 
 
 def test_handover_to_passive_node_settles_immediately():
-    n = NodeState(id=2, tag=TAG)
+    n = NodeState(id=2, joined=True)
     ctx = mkctx({2: n})
-    m = ImPC(TAG, ONE, 0, (), (1, 7), handover=True)
+    m = ImPC(ONE, 0, (), (1, 7), handover=True)
     out = P.on_impc(n, 1, m, ctx)
     assert n.is_ce() and n.settled
     assert out.announce == STRONG and n.terminated == STRONG
 
 
 def test_stale_impc_strands_its_cargo():
-    n = active(3, 2, credit(2, 10))
+    n = active(3, 2, credit(2, 10), terminated=STRONG)
     ctx = mkctx({3: n})
-    m = ImPC(OLD, credit(1, 10), 0, (), (9, 1))
+    m = ImPC(credit(1, 10), 0, (), (9, 1))
     out = P.on_impc(n, 9, m, ctx)
-    assert out.label == "stale-discard"
+    assert out.label == "post-term-discard"
     assert n.stranded == credit(1, 10)
     assert n.hold == credit(2, 10)
 
@@ -363,7 +357,7 @@ def test_stale_impc_strands_its_cargo():
 def test_imp_reparents_a_child():
     n = active(6, 5, credit(1, 8))
     ctx = mkctx({6: n})
-    out = P.on_imp(n, 5, ImP(TAG, 4), ctx)
+    out = P.on_imp(n, 5, ImP(4), ctx)
     assert n.parent == 4
     assert not out.sends
 
@@ -374,7 +368,7 @@ def test_imp_from_borrower_returns_the_entry_to_hold():
     n = active(3, 2, credit(1, 10), in_map={5: credit(1, 10)})
     ctx = mkctx({3: n})
     before = n.local_credit()
-    out = P.on_imp(n, 5, ImP(TAG, 4), ctx)
+    out = P.on_imp(n, 5, ImP(4), ctx)
     assert n.hold == credit(2, 10)
     assert n.in_map == {}
     assert_conserved(before, n, out)
@@ -383,7 +377,7 @@ def test_imp_from_borrower_returns_the_entry_to_hold():
 def test_imp_naming_me_as_my_own_parent_is_discarded():
     n = active(6, 5, credit(1, 8))
     ctx = mkctx({6: n})
-    out = P.on_imp(n, 5, ImP(TAG, 6), ctx)
+    out = P.on_imp(n, 5, ImP(6), ctx)
     assert out.label == "imp-self-parent-discard"
     assert n.parent == 5
 
@@ -392,17 +386,17 @@ def test_imp_naming_me_as_my_own_parent_is_discarded():
 
 
 def test_ack_finalizes_and_answers_aack():
-    n = NodeState(id=3, tag=TAG)
-    n.pending[(3, 1)] = P.PendingSurrender(ImPC(TAG, credit(1, 10), parcel=(3, 1)))
+    n = NodeState(id=3, joined=True)
+    n.pending[(3, 1)] = P.PendingSurrender(ImPC(credit(1, 10), parcel=(3, 1)))
     ctx = mkctx({3: n})
-    out = P.on_ack(n, 2, AcK(TAG, (3, 1)), ctx)
+    out = P.on_ack(n, 2, AcK((3, 1)), ctx)
     assert not n.pending
     assert len(out.sends) == 1 and isinstance(out.sends[0].msg, AAcK)
 
 
 def test_timeout_without_returned_cargo_finalizes_silently():
-    n = NodeState(id=3, tag=TAG)
-    n.pending[(3, 1)] = P.PendingSurrender(ImPC(TAG, credit(1, 10), parcel=(3, 1)))
+    n = NodeState(id=3, joined=True)
+    n.pending[(3, 1)] = P.PendingSurrender(ImPC(credit(1, 10), parcel=(3, 1)))
     ctx = mkctx({3: n})
     out = P.on_ack_timeout(n, (3, 1), ctx)
     assert not n.pending and not out.sends
@@ -411,8 +405,8 @@ def test_timeout_without_returned_cargo_finalizes_silently():
 
 def test_timeout_with_returned_cargo_retries():
     parent = active(2, 1, credit(1, 2))
-    n = NodeState(id=3, tag=TAG)
-    rec = P.PendingSurrender(ImPC(TAG, credit(1, 10), parcel=(3, 1)), returned=True)
+    n = NodeState(id=3, joined=True)
+    rec = P.PendingSurrender(ImPC(credit(1, 10), parcel=(3, 1)), returned=True)
     n.pending[(3, 1)] = rec
     ctx = mkctx({2: parent, 3: n})
     before = n.local_credit()
@@ -427,9 +421,9 @@ def test_timeout_with_returned_cargo_retries():
 
 def test_returned_handover_restores_the_role_and_retries():
     ce_books = ((4, 9, ZERO, credit(99, 100)),)
-    n = NodeState(id=1, tag=TAG)
+    n = NodeState(id=1, joined=True)
     n.pending[(1, 5)] = P.PendingSurrender(
-        ImPC(TAG, credit(1, 100), parcel=(1, 5), handover=True, ledger=ce_books),
+        ImPC(credit(1, 100), parcel=(1, 5), handover=True, ledger=ce_books),
         returned=True,
     )
     ctx = mkctx({1: n})
@@ -457,7 +451,7 @@ def test_aack_clears_the_wait():
     n = active(4, 3, credit(1, 2))
     n.awaiting[(6, 2)] = P.AwaitedParcel(6, credit(1, 8))
     ctx = mkctx({4: n})
-    P.on_aack(n, 6, AAcK(TAG, (6, 2)), ctx)
+    P.on_aack(n, 6, AAcK((6, 2)), ctx)
     assert not n.awaiting
 
 
@@ -488,7 +482,7 @@ def test_pan_is_ledgered_once():
     dark = NodeState(id=3, dark=True)
     ce = active(1, 1, credit(4, 10))
     ctx = mkctx({1: ce, 3: dark})
-    m = PaN(TAG, 3, ZERO, credit(3, 10))
+    m = PaN(3, ZERO, credit(3, 10))
     P.on_pan(ce, 2, m, ctx)
     out = P.on_pan(ce, 2, m, ctx)
     assert ce.pu_ledger == {(2, 3): (ZERO, credit(3, 10))}
@@ -500,11 +494,11 @@ def test_pan_requires_the_role():
     dark = NodeState(id=3, dark=True)
     ctx = mkctx({3: dark, 4: n})
     with pytest.raises(NotChiefExecutive):
-        P.on_pan(n, 2, PaN(TAG, 3, ZERO, ZERO), ctx)
+        P.on_pan(n, 2, PaN(3, ZERO, ZERO), ctx)
 
 
 def test_recovery_notifies_role_and_active_neighbors():
-    n = NodeState(id=3, tag=TAG, neighbors=frozenset({2, 4, 5}))
+    n = NodeState(id=3, joined=True, neighbors=frozenset({2, 4, 5}))
     nb = active(4, 3, credit(1, 10))
     ctx = mkctx({3: n, 4: nb, 5: NodeState(id=5)})
     out = P.on_recovery(n, ctx)
@@ -514,7 +508,7 @@ def test_recovery_notifies_role_and_active_neighbors():
 
 def test_recovery_bounces_stranded_cargo():
     target = active(4, 3, credit(1, 2))
-    n = NodeState(id=3, tag=TAG, stranded=credit(1, 10))
+    n = NodeState(id=3, joined=True, stranded=credit(1, 10))
     ctx = mkctx({3: n, 4: target})
     before = n.local_credit()
     out = P.on_recovery(n, ctx)
@@ -530,7 +524,7 @@ def test_nap_releases_ledger_to_active_reporter_as_reclaimable():
     ce.pu_ledger[(2, 3)] = (credit(1, 20), credit(3, 10))
     ctx = mkctx({1: ce, 2: reporter})
     before = ce.local_credit()
-    out = P.on_nap(ce, 3, NaP(TAG, 3), ctx)
+    out = P.on_nap(ce, 3, NaP(3), ctx)
     assert ce.pu_ledger == {}
     assert ce.reclaimable == {(2, 3): credit(1, 20)}
     assert ce.hold == credit(6, 10)
@@ -541,7 +535,7 @@ def test_nap_absorbs_parts_of_passive_reporters():
     ce = active(1, 1, credit(6, 10))
     ce.pu_ledger[(2, 3)] = (credit(1, 20), credit(3, 10))
     ctx = mkctx({1: ce, 2: NodeState(id=2)})
-    P.on_nap(ce, 3, NaP(TAG, 3), ctx)
+    P.on_nap(ce, 3, NaP(3), ctx)
     assert ce.reclaimable == {}
     assert ce.hold == credit(6, 10) + credit(1, 20)
 
@@ -549,7 +543,7 @@ def test_nap_absorbs_parts_of_passive_reporters():
 def test_nap_at_neighbor_triggers_reclaim_request():
     n = active(2, 1, credit(3, 10), reported_in={3: credit(1, 50)})
     ctx = mkctx({2: n})
-    out = P.on_nap(n, 3, NaP(TAG, 3), ctx)
+    out = P.on_nap(n, 3, NaP(3), ctx)
     claims = [s for s in out.sends if isinstance(s.msg, SpecialReclaim)]
     assert len(claims) == 1 and claims[0].dst is None
     assert claims[0].msg.affected == 3
@@ -561,7 +555,7 @@ def test_reclaim_is_refunded_with_a_flagged_com():
     ce.reclaimable[(2, 3)] = credit(1, 20)
     ctx = mkctx({1: ce})
     before = ce.local_credit()
-    out = P.on_special(ce, 2, SpecialReclaim(TAG, 3), ctx)
+    out = P.on_special(ce, 2, SpecialReclaim(3), ctx)
     coms = [s for s in out.sends if isinstance(s.msg, COM)]
     assert len(coms) == 1 and coms[0].dst == 2
     assert coms[0].msg.refund and coms[0].msg.credit == credit(1, 20)
@@ -576,7 +570,7 @@ def test_reclaim_is_refunded_with_a_flagged_com():
 def test_duplicate_forward_is_netted_out():
     ce = active(1, 1, credit(1, 2))
     ctx = mkctx({1: ce})
-    m = SpecialForward(TAG, credit(1, 8), 4, (6, 2))
+    m = SpecialForward(credit(1, 8), 4, (6, 2))
     P.on_special(ce, 4, m, ctx)
     assert ce.hold == credit(1, 2) + credit(1, 8)
     out = P.on_special(ce, 4, m, ctx)
@@ -634,9 +628,9 @@ def test_outstanding_reclaims_block_any_announcement():
 
 
 def test_tm_marks_termination():
-    n = NodeState(id=4, tag=TAG)
+    n = NodeState(id=4, joined=True)
     ctx = mkctx({4: n})
-    P.on_tm(n, 1, TM(TAG, WEAK), ctx)
+    P.on_tm(n, 1, TM(WEAK), ctx)
     assert n.terminated == WEAK
 
 
@@ -648,7 +642,7 @@ def test_mutation_a5_keeps_the_absorbed_entry():
     ctx = mkctx({4: n})
     ctx.mutations = frozenset({"a5-keep-inmap"})
     before = n.local_credit()
-    m = ImPC(TAG, credit(3, 10), 0, (), (6, 2))
+    m = ImPC(credit(3, 10), 0, (), (6, 2))
     out = P.on_impc(n, 6, m, ctx)
     # entry kept AND folded into hold: credit duplicated
     assert n.in_map == {6: credit(1, 20)}
@@ -685,7 +679,7 @@ def test_absorb_conserves_credit(hold, entry, cargo):
     if entry:
         n.in_map[6] = credit(entry, 40)
     ctx = mkctx({4: n})
-    m = ImPC(TAG, credit(cargo, 40) if cargo else ZERO, 0, (), (6, 2))
+    m = ImPC(credit(cargo, 40) if cargo else ZERO, 0, (), (6, 2))
     before = n.local_credit()
     out = P.on_impc(n, 6, m, ctx)
     assert before + m.carried_credit() == n.local_credit() + carried_out(out)
