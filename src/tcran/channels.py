@@ -21,7 +21,6 @@ class ChannelWorld:
     gcs: frozenset[ChannelId]
     lcs: dict[NodeId, set[ChannelId]]
     tuned: dict[NodeId, ChannelId]
-    occupied: set[ChannelId] = field(default_factory=set)
     original: dict[NodeId, frozenset[ChannelId]] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -41,12 +40,8 @@ class ChannelWorld:
     def affected(self, nid: NodeId) -> bool:
         return not self.lcs[nid]
 
-    def share_a_channel(self, a: NodeId, b: NodeId) -> bool:
-        return bool(self.lcs[a] & self.lcs[b])
-
     def pu_appear(self, channel: ChannelId) -> tuple[list[NodeId], list[NodeId]]:
         """Occupy a channel. Returns (newly affected nodes, retuned nodes)."""
-        self.occupied.add(channel)
         hit, retuned = [], []
         for nid in sorted(self.lcs):
             before = bool(self.lcs[nid])
@@ -63,7 +58,6 @@ class ChannelWorld:
 
         Returns the nodes that stop being affected.
         """
-        self.occupied.discard(channel)
         back = []
         for nid in sorted(self.lcs):
             if channel in self.original[nid]:

@@ -71,20 +71,24 @@ LedgerRows = tuple[tuple[NodeId, NodeId, Credit, Credit], ...]
 class ImPC(Message):
     """Passive-with-credit surrender: opens a three-way handshake.
 
-    b counts the active tree-children being re-parented to the target and
-    child_map carries their exact out-entries (the count alone cannot
-    support the receiver's out-merge).  handover marks a chief-executive
-    role transfer; only then do the two PU ledgers ride along.
+    child_map carries the exact out-entries of the active tree-children
+    being re-parented to the target (a count alone cannot support the
+    receiver's out-merge); b is their count.  handover marks a
+    chief-executive role transfer; only then do the two PU ledgers ride
+    along.
     """
 
     credit: Credit = ZERO
-    b: int = 0
     child_map: ChildMap = ()
     parcel: Parcel = (0, 0)
     handover: bool = False
     ledger: LedgerRows = ()
 
     kind: ClassVar[str] = "ImPC"
+
+    @property
+    def b(self) -> int:
+        return len(self.child_map)
 
     def describe(self) -> str:
         parts = [render_credit(self.credit), f"b={self.b}"]

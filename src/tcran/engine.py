@@ -239,9 +239,7 @@ class Engine:
         return holders[0] if holders else None
 
     def _peer(self, k: NodeId) -> Peer:
-        n = self.nodes.get(k)
-        if n is None:
-            return Peer(active=False, parent=None, dark=False)
+        n = self.nodes[k]
         return Peer(active=n.state == ACTIVE, parent=n.parent, dark=n.dark)
 
     def _active_peers(self, me: NodeId) -> list[NodeId]:

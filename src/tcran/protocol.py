@@ -190,7 +190,6 @@ class NodeState:
 
     distributed: bool = False  # activation-time fanout already executed
     surrenders: int = 0  # credit-surrender transitions run (N_leave term)
-    settles: int = 0
 
     # --- derived quantities -------------------------------------------------
 
@@ -374,7 +373,6 @@ def _send_parcel(
     """Launch one ImPC parcel: escrow record, send, and the AcK timer."""
     msg = ImPC(
         amount,
-        len(child_map),
         child_map,
         st.next_parcel(),
         handover=handover,
@@ -447,7 +445,6 @@ def surrender_core(st: NodeState, ctx: Ctx) -> Out:
         kids = _active_tree_children(st, ctx)
         if not kids:
             # Nothing to hand over to: settle and watch the books.
-            st.settles += 1
             _first_line_returns(st, ctx, None, out)
             # Remaining creditors are passive; at the root their credit
             # has already arrived where it was headed.
@@ -498,9 +495,7 @@ def surrender_core(st: NodeState, ctx: Ctx) -> Out:
 
 def on_idle(st: NodeState, ctx: Ctx) -> Out:
     """A4 entry point: workload finished, give the credit back."""
-    if st.terminated is not None:
-        return Out(label="idle-after-term")
-    assert st.state == ACTIVE and not st.awaiting
+    assert st.state == ACTIVE and st.terminated is None and not st.awaiting
     return surrender_core(st, ctx)
 
 
@@ -616,7 +611,7 @@ def on_imp(st: NodeState, frm: NodeId, m: ImP, ctx: Ctx) -> Out:
         # would wait forever on a payment that went elsewhere: void the
         # claim explicitly with an empty parcel.
         if m.p != st.id:
-            out.send(m.p, ImPC(ZERO, 0, (), st.next_parcel()), bucket="special")
+            out.send(m.p, ImPC(ZERO, (), st.next_parcel()), bucket="special")
             out.notes.append(f"claim-cancel->{m.p}")
         return out
     # Only an active node holds creditor entries: surrender empties them.

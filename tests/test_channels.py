@@ -78,10 +78,10 @@ def test_two_pus_need_two_disappearances():
 
 def test_share_a_channel_reflects_current_spectrum():
     w = world()
-    assert w.share_a_channel(3, 4)
+    assert w.lcs[3] & w.lcs[4]
     w.pu_appear(5)
-    assert not w.share_a_channel(3, 4)
-    assert w.share_a_channel(2, 6)
+    assert not w.lcs[3] & w.lcs[4]
+    assert w.lcs[2] & w.lcs[6]
 
 
 def test_validation_rejects_tuned_outside_lcs():

@@ -20,7 +20,7 @@ def test_acknowledgements_outrank_all_other_kinds():
     ack_like = [AcK((1, 1)), AAcK((1, 1))]
     ordinary = [
         COM(credit(1, 2)),
-        ImPC(credit(1, 2), 0),
+        ImPC(credit(1, 2)),
         ImP(3),
         TM("strong"),
         PaN(4, ZERO, ZERO),
@@ -45,7 +45,6 @@ def test_carried_credit_counts_cargo_not_claims():
 def test_impc_cargo_includes_riding_ledger_in_parts_only():
     m = ImPC(
         credit(1, 4),
-        b=1,
         child_map=((5, credit(1, 8)),),
         parcel=(3, 1),
         handover=True,
@@ -58,7 +57,6 @@ def test_impc_cargo_includes_riding_ledger_in_parts_only():
 def test_describe_is_deterministic_wire_text():
     m = ImPC(
         credit(1, 10),
-        b=1,
         child_map=((6, credit(7, 20)),),
         parcel=(5, 1),
     )

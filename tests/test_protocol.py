@@ -238,7 +238,7 @@ def test_impc_empty_parcel_cancels_a_held_claim():
     # handshake, the sender's out-entry simply dies.
     n = active(3, 2, credit(2, 10), out_map={9: credit(1, 10)})
     ctx = mkctx({3: n})
-    m = ImPC(ZERO, 0, (), (9, 1))
+    m = ImPC(ZERO, (), (9, 1))
     out = P.on_impc(n, 9, m, ctx)
     assert n.hold == credit(2, 10)
     assert n.out_map == {}
@@ -249,11 +249,11 @@ def test_impc_empty_parcel_cancels_a_held_claim():
 def test_impc_cancel_ahead_of_its_claim_leaves_a_marker():
     n = active(3, 2, credit(2, 10))
     ctx = mkctx({3: n})
-    out = P.on_impc(n, 9, ImPC(ZERO, 0, (), (9, 1)), ctx)
+    out = P.on_impc(n, 9, ImPC(ZERO, (), (9, 1)), ctx)
     assert out.label == "claim-cancel"
     assert n.prepaid == {9: 1}
     # The late claim arrives inside a child_map and is void on arrival.
-    m = ImPC(credit(1, 10), 1, ((9, credit(1, 8)),), (4, 1))
+    m = ImPC(credit(1, 10), ((9, credit(1, 8)),), (4, 1))
     out = P.on_impc(n, 4, m, ctx)
     assert n.prepaid == {}
     assert 9 not in n.out_map
@@ -265,7 +265,7 @@ def test_impc_structured_from_stranger_is_absorbed():
     # arrives with no relationship evidence; it must still be honored.
     n = active(3, 2, credit(2, 10))
     ctx = mkctx({3: n})
-    m = ImPC(credit(1, 10), 1, ((7, credit(1, 10)),), (9, 1))
+    m = ImPC(credit(1, 10), ((7, credit(1, 10)),), (9, 1))
     out = P.on_impc(n, 9, m, ctx)
     assert n.hold == credit(3, 10)
     assert n.out_map == {7: credit(1, 10)}
@@ -276,7 +276,7 @@ def test_impc_structured_from_stranger_is_absorbed():
 def test_impc_absorb_folds_creditor_entry():
     n = active(4, 3, credit(1, 4), in_map={6: credit(1, 20)})
     ctx = mkctx({4: n})
-    m = ImPC(credit(3, 10), 0, (), (6, 2))
+    m = ImPC(credit(3, 10), (), (6, 2))
     before = n.local_credit()
     out = P.on_impc(n, 6, m, ctx)
     assert n.hold == credit(1, 4) + credit(3, 10) + credit(1, 20)
@@ -291,7 +291,6 @@ def test_impc_adopts_children_and_drops_self_claims():
     ctx = mkctx({2: n})
     m = ImPC(
         credit(1, 10),
-        2,
         ((7, credit(1, 8)), (2, credit(1, 16))),
         (5, 1),
     )
@@ -304,7 +303,7 @@ def test_impc_to_passive_node_bounces_onward():
     n = NodeState(id=6, joined=True)
     target = active(4, 3, credit(1, 2))
     ctx = mkctx({4: target, 6: n})
-    m = ImPC(credit(1, 10), 0, (), (5, 3))
+    m = ImPC(credit(1, 10), (), (5, 3))
     before = n.local_credit()
     out = P.on_impc(n, 5, m, ctx)
     assert n.state == PASSIVE and n.hold == ZERO  # activated, then bounced
@@ -322,7 +321,7 @@ def test_handover_impc_transfers_the_role():
     n = active(2, 1, credit(3, 10))
     ctx = mkctx({2: n})
     rows = ((4, 9, credit(1, 100), credit(1, 50)),)
-    m = ImPC(credit(7, 10), 0, (), (1, 7), handover=True, ledger=rows)
+    m = ImPC(credit(7, 10), (), (1, 7), handover=True, ledger=rows)
     before = n.local_credit()
     out = P.on_impc(n, 1, m, ctx)
     assert n.is_ce()
@@ -335,7 +334,7 @@ def test_handover_impc_transfers_the_role():
 def test_handover_to_passive_node_settles_immediately():
     n = NodeState(id=2, joined=True)
     ctx = mkctx({2: n})
-    m = ImPC(ONE, 0, (), (1, 7), handover=True)
+    m = ImPC(ONE, (), (1, 7), handover=True)
     out = P.on_impc(n, 1, m, ctx)
     assert n.is_ce() and n.settled
     assert out.announce == STRONG and n.terminated == STRONG
@@ -344,7 +343,7 @@ def test_handover_to_passive_node_settles_immediately():
 def test_stale_impc_strands_its_cargo():
     n = active(3, 2, credit(2, 10), terminated=STRONG)
     ctx = mkctx({3: n})
-    m = ImPC(credit(1, 10), 0, (), (9, 1))
+    m = ImPC(credit(1, 10), (), (9, 1))
     out = P.on_impc(n, 9, m, ctx)
     assert out.label == "post-term-discard"
     assert n.stranded == credit(1, 10)
@@ -642,7 +641,7 @@ def test_mutation_a5_keeps_the_absorbed_entry():
     ctx = mkctx({4: n})
     ctx.mutations = frozenset({"a5-keep-inmap"})
     before = n.local_credit()
-    m = ImPC(credit(3, 10), 0, (), (6, 2))
+    m = ImPC(credit(3, 10), (), (6, 2))
     out = P.on_impc(n, 6, m, ctx)
     # entry kept AND folded into hold: credit duplicated
     assert n.in_map == {6: credit(1, 20)}
@@ -679,7 +678,7 @@ def test_absorb_conserves_credit(hold, entry, cargo):
     if entry:
         n.in_map[6] = credit(entry, 40)
     ctx = mkctx({4: n})
-    m = ImPC(credit(cargo, 40) if cargo else ZERO, 0, (), (6, 2))
+    m = ImPC(credit(cargo, 40) if cargo else ZERO, (), (6, 2))
     before = n.local_credit()
     out = P.on_impc(n, 6, m, ctx)
     assert before + m.carried_credit() == n.local_credit() + carried_out(out)
