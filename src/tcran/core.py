@@ -65,6 +65,8 @@ class COM(Message):
 ChildMap = tuple[tuple[NodeId, Credit], ...]
 # ledger rows: (reporter, affected, physical in-part, mirrored out-part)
 LedgerRows = tuple[tuple[NodeId, NodeId, Credit, Credit], ...]
+# reclaim rows: (reporter, affected, released credit the reporter may claim)
+ReclaimRows = tuple[tuple[NodeId, NodeId, Credit], ...]
 
 
 @dataclass(frozen=True)
@@ -74,8 +76,10 @@ class ImPC(Message):
     child_map carries the exact out-entries of the active tree-children
     being re-parented to the target (a count alone cannot support the
     receiver's out-merge); b is their count.  handover marks a
-    chief-executive role transfer; only then do the two PU ledgers ride
-    along.
+    chief-executive role transfer; only then do the executive's books
+    ride along: its PU ledger rows, and in a field of their own its
+    reclaim rows, whose credit was released to reporters that have not
+    asked for it yet.
     """
 
     credit: Credit = ZERO
@@ -83,6 +87,7 @@ class ImPC(Message):
     parcel: Parcel = (0, 0)
     handover: bool = False
     ledger: LedgerRows = ()
+    reclaim: ReclaimRows = ()
 
     kind: ClassVar[str] = "ImPC"
 
@@ -104,11 +109,15 @@ class ImPC(Message):
                 for r, a, i, o in self.ledger
             )
             parts.append(f"ledger[{rows}]")
+        if self.reclaim:
+            rows = ";".join(f"{r}:{a}:{render_credit(c)}" for r, a, c in self.reclaim)
+            parts.append(f"reclaim[{rows}]")
         return f"ImPC({','.join(parts)})"
 
     def carried_credit(self) -> Credit:
         # Mirrored out-parts are claims, not credit; only in-parts ride.
-        return self.credit + credit_sum(i for _, _, i, _ in self.ledger)
+        cargo = self.credit + credit_sum(i for _, _, i, _ in self.ledger)
+        return cargo + credit_sum(c for _, _, c in self.reclaim)
 
 
 @dataclass(frozen=True)

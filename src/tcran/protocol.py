@@ -38,6 +38,7 @@ from .core import (
     NodeId,
     PaN,
     Parcel,
+    ReclaimRows,
     STRONG,
     SpecialForward,
     SpecialReclaim,
@@ -369,6 +370,7 @@ def _send_parcel(
     child_map: ChildMap = (),
     handover: bool = False,
     ledger: LedgerRows = (),
+    reclaim: ReclaimRows = (),
 ):
     """Launch one ImPC parcel: escrow record, send, and the AcK timer."""
     msg = ImPC(
@@ -377,6 +379,7 @@ def _send_parcel(
         st.next_parcel(),
         handover=handover,
         ledger=ledger,
+        reclaim=reclaim,
     )
     st.pending[msg.parcel] = PendingSurrender(msg)
     out.send(target, msg)
@@ -460,14 +463,16 @@ def surrender_core(st: NodeState, ctx: Ctx) -> Out:
     kids = [k for k in _active_tree_children(st, ctx) if k != target]
     child_map = tuple((k, st.out_map[k]) for k in kids)
     ledger: LedgerRows = ()
+    reclaim: ReclaimRows = ()
     if handover:
-        ledger = tuple(
-            (r, a, i, o) for (r, a), (i, o) in sorted(st.pu_ledger.items())
-        ) + tuple((r, a, c, ZERO) for (r, a), c in sorted(st.reclaimable.items()))
+        ledger = tuple((r, a, i, o) for (r, a), (i, o) in sorted(st.pu_ledger.items()))
+        reclaim = tuple((r, a, c) for (r, a), c in sorted(st.reclaimable.items()))
         st.pu_ledger.clear()
         st.reclaimable.clear()
         st.weak_deadline = None
-    _send_parcel(st, ctx, out, target, st.hold + folded, child_map, handover, ledger)
+    _send_parcel(
+        st, ctx, out, target, st.hold + folded, child_map, handover, ledger, reclaim
+    )
     if target is not None:
         for k in kids:
             out.send(k, ImP(target))
@@ -509,16 +514,13 @@ def _bounce(st: NodeState, ctx: Ctx, out: Out):
 # --- A5: receiving surrendered credit ---------------------------------------
 
 
-def _take_role(st: NodeState, ledger: LedgerRows):
+def _take_role(st: NodeState, m: ImPC):
     """Become the chief executive, taking over the books a handover carried."""
     st.parent = st.id
-    for r, a, i, o in ledger:
-        if o == ZERO and (r, a) not in st.pu_ledger:
-            # Reclaim tombstones ride with a zero mirror.
-            if i != ZERO:
-                st.reclaimable[(r, a)] = st.reclaimable.get((r, a), ZERO) + i
-        else:
-            st.pu_ledger[(r, a)] = (i, o)
+    for r, a, i, o in m.ledger:
+        st.pu_ledger[(r, a)] = (i, o)
+    for r, a, c in m.reclaim:
+        st.reclaimable[(r, a)] = st.reclaimable.get((r, a), ZERO) + c
 
 
 def on_impc(st: NodeState, frm: NodeId, m: ImPC, ctx: Ctx) -> Out:
@@ -560,7 +562,7 @@ def on_impc(st: NodeState, frm: NodeId, m: ImPC, ctx: Ctx) -> Out:
             continue
         st.out_map[child] = st.out_map.get(child, ZERO) + c
     if m.handover:
-        _take_role(st, m.ledger)
+        _take_role(st, m)
         out.notes.append("became-CE")
 
     out.send(frm, AcK(m.parcel))
@@ -662,7 +664,7 @@ def on_ack_timeout(st: NodeState, parcel: Parcel, ctx: Ctx) -> Out:
     st.state = ACTIVE
     if msg.handover:
         # My handover came back: resume the role and its books.
-        _take_role(st, msg.ledger)
+        _take_role(st, msg)
         st.settled = True
         out.notes.append("handover-returned")
         out.merge(surrender_core(st, ctx))  # retry guard (b) or settle

@@ -49,9 +49,11 @@ def test_impc_cargo_includes_riding_ledger_in_parts_only():
         parcel=(3, 1),
         handover=True,
         ledger=((2, 6, credit(1, 8), credit(1, 2)),),
+        reclaim=((2, 6, credit(1, 16)),),
     )
-    # 1/4 cargo + 1/8 physical ledger part; the 1/2 mirror is a claim.
-    assert m.carried_credit() == credit(3, 8)
+    # 1/4 cargo + 1/8 physical ledger part + 1/16 reclaim row; the 1/2
+    # mirror is a claim.
+    assert m.carried_credit() == credit(7, 16)
 
 
 def test_describe_is_deterministic_wire_text():
@@ -61,6 +63,16 @@ def test_describe_is_deterministic_wire_text():
         parcel=(5, 1),
     )
     assert m.describe() == "ImPC(1/10,b=1,children[6>7/20],parcel=5.1)"
+    handover = ImPC(
+        credit(1, 4),
+        parcel=(9, 2),
+        handover=True,
+        ledger=((3, 10, credit(1, 288), ZERO),),
+        reclaim=((3, 10, credit(1, 8)),),
+    )
+    assert handover.describe() == (
+        "ImPC(1/4,b=0,parcel=9.2,handover,ledger[3:10:1/288:0],reclaim[3:10:1/8])"
+    )
     assert COM(credit(9, 10)).describe() == "COM(9/10)"
     assert COM(credit(1, 5), refund=True).describe() == "COM(1/5,refund)"
     assert AcK((5, 1)).describe() == "AcK(5.1)"

@@ -331,6 +331,26 @@ def test_handover_impc_transfers_the_role():
     assert_conserved(before, n, out, carried_in=m.carried_credit())
 
 
+def test_handover_files_ledger_and_reclaim_rows_in_their_own_books():
+    # A real PaN row can carry a zero mirror (fuzz seed 4656): only the
+    # reclaim field marks credit released for its reporter to ask back.
+    n = active(2, 1, credit(1, 2))
+    ctx = mkctx({2: n})
+    m = ImPC(
+        credit(1, 4),
+        parcel=(1, 7),
+        handover=True,
+        ledger=((3, 10, credit(1, 8), ZERO),),
+        reclaim=((3, 10, credit(1, 8)),),
+    )
+    before = n.local_credit()
+    out = P.on_impc(n, 1, m, ctx)
+    assert n.is_ce()
+    assert n.pu_ledger == {(3, 10): (credit(1, 8), ZERO)}
+    assert n.reclaimable == {(3, 10): credit(1, 8)}
+    assert_conserved(before, n, out, carried_in=m.carried_credit())
+
+
 def test_handover_to_passive_node_settles_immediately():
     n = NodeState(id=2, joined=True)
     ctx = mkctx({2: n})

@@ -15,12 +15,6 @@ from tcran.scenario import load_scenario
 
 REGRESSIONS = Path(__file__).resolve().parent / "regressions"
 
-ZERO_MIRROR_ROW = (
-    "a handover carries a real PaN row with a zero mirror; on_impc files it "
-    "under reclaimable as a reclaim tombstone, so try_announce never passes"
-)
-
-
 def _run(seed: int):
     scn = load_scenario((REGRESSIONS / f"fuzz_{seed}.scn").read_text())
     report, _ = run_scenario(scn, seed, collect_trace=False)
@@ -34,7 +28,6 @@ def test_failure_free_fuzz_finding_announces_strong(seed):
     assert report.terminated == "strong"
 
 
-@pytest.mark.xfail(strict=True, reason=ZERO_MIRROR_ROW)
 def test_zero_mirror_ledger_row_survives_a_handover():
     _, report = _run(4656)
     assert report.terminated == "strong"
