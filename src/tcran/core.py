@@ -115,6 +115,8 @@ class ImPC(Message):
         return f"ImPC({','.join(parts)})"
 
     def carried_credit(self) -> Credit:
+        if not self.ledger and not self.reclaim:
+            return self.credit
         # Mirrored out-parts are claims, not credit; only in-parts ride.
         cargo = self.credit + credit_sum(i for _, _, i, _ in self.ledger)
         return cargo + credit_sum(c for _, _, c in self.reclaim)

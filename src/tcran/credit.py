@@ -60,8 +60,9 @@ def render_credit(c: Credit) -> str:
 
 
 def credit_sum(values: Iterable[Credit]) -> Credit:
-    total = ZERO
-    for v in values:
+    it = iter(values)
+    total = next(it, ZERO)
+    for v in it:
         total = total + v
     return total
 

@@ -23,6 +23,7 @@ the global version of this after every event.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable
 
 from .core import (
@@ -203,18 +204,27 @@ class NodeState:
         )
 
     def ledger_physical(self) -> Credit:
-        held = credit_sum(i for i, _ in self.pu_ledger.values())
-        return held + credit_sum(self.reclaimable.values())
+        held = (i for i, _ in self.pu_ledger.values())
+        return credit_sum(chain(held, self.reclaimable.values()))
 
     def local_credit(self) -> Credit:
-        """Everything physically at this node (conservation accounting)."""
-        return (
-            self.hold
-            + credit_sum(self.in_map.values())
-            + self.escrow_total()
-            + self.ledger_physical()
-            + self.stranded
-        )
+        """Everything physically at this node (conservation accounting).
+
+        Runs for every touched node after every event, so an empty book
+        costs no Fraction add.
+        """
+        total = self.hold
+        if self.in_map:
+            total = total + credit_sum(self.in_map.values())
+        if self.pending:
+            esc = self.escrow_total()  # zero while no parcel bounced back
+            if esc:
+                total = total + esc
+        if self.pu_ledger or self.reclaimable:
+            total = total + self.ledger_physical()
+        if self.stranded:
+            total = total + self.stranded
+        return total
 
     def ledger_balance(self) -> Credit:
         """Sum of all ledgered parts: the affected nodes' accounted credit."""
@@ -230,13 +240,17 @@ class NodeState:
         if self.in_map:
             total = credit_sum(self.in_map.values())
             parts.append(f"in={render_credit(total)}")
-        esc = self.escrow_total()
-        if esc != ZERO:
-            parts.append(f"esc={render_credit(esc)}")
-        led = self.ledger_physical()
-        if led != ZERO:
-            parts.append(f"led={render_credit(led)}")
-        if self.stranded != ZERO:
+        # Truthiness, not != ZERO: Fraction.__eq__ goes through an ABC
+        # isinstance check, and this runs for every trace line.
+        if self.pending:
+            esc = self.escrow_total()
+            if esc:
+                parts.append(f"esc={render_credit(esc)}")
+        if self.pu_ledger or self.reclaimable:
+            led = self.ledger_physical()
+            if led:
+                parts.append(f"led={render_credit(led)}")
+        if self.stranded:
             parts.append(f"str={render_credit(self.stranded)}")
         return ",".join(parts)
 

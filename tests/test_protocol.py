@@ -6,6 +6,8 @@ conservation identity (credit in + holdings before == holdings after +
 credit out).
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -686,6 +688,70 @@ def test_choose_new_ce_requires_a_candidate():
 
 
 # --- conservation property -----------------------------------------------------
+
+
+def five_term_local_credit(n):
+    """local_credit summed over every book, empty or not, from raw fields."""
+    escrow = sum(
+        (
+            r.msg.credit
+            + sum((i for _, _, i, _ in r.msg.ledger), ZERO)
+            + sum((c for _, _, c in r.msg.reclaim), ZERO)
+            for r in n.pending.values()
+            if r.returned
+        ),
+        ZERO,
+    )
+    ledger = sum((i for i, _ in n.pu_ledger.values()), ZERO)
+    ledger += sum(n.reclaimable.values(), ZERO)
+    return n.hold + sum(n.in_map.values(), ZERO) + escrow + ledger + n.stranded
+
+
+def _fill(n, book):
+    parcel = ImPC(
+        credit(1, 10),
+        parcel=(3, 1),
+        handover=True,
+        ledger=((4, 5, credit(1, 20), credit(1, 40)),),
+        reclaim=((4, 6, credit(1, 30)),),
+    )
+    if book == "hold":
+        n.hold = credit(1, 3)
+    elif book == "in_map":
+        n.in_map = {5: credit(1, 5), 7: credit(1, 7)}
+    elif book == "escrow":
+        n.pending[(3, 1)] = P.PendingSurrender(parcel, returned=True)
+    elif book == "unreturned":
+        # Not bounced back: its credit rides the message.
+        n.pending[(3, 2)] = P.PendingSurrender(replace(parcel, parcel=(3, 2)))
+    elif book == "ledger":
+        n.pu_ledger = {(4, 5): (credit(1, 20), credit(1, 40))}
+    elif book == "reclaimable":
+        n.reclaimable = {(4, 6): credit(1, 30)}
+    elif book == "stranded":
+        n.stranded = credit(1, 11)
+
+
+BOOKS = ("hold", "in_map", "escrow", "unreturned", "ledger", "reclaimable", "stranded")
+
+
+@pytest.mark.parametrize("book", ("none",) + BOOKS)
+def test_local_credit_matches_the_five_term_sum_with_one_book_filled(book):
+    n = NodeState(id=3)
+    _fill(n, book)
+    assert n.local_credit() == five_term_local_credit(n)
+    expected = {"none": ZERO, "unreturned": ZERO, "hold": credit(1, 3)}
+    if book in expected:
+        assert n.local_credit() == expected[book]
+
+
+def test_local_credit_matches_the_five_term_sum_with_every_book_filled():
+    n = NodeState(id=3)
+    for book in BOOKS:
+        _fill(n, book)
+    assert n.local_credit() == five_term_local_credit(n)
+    assert n.snapshot() == "hold=1/3,in=12/35,esc=11/60,led=1/12,str=1/11"
+
 
 
 @given(
