@@ -9,11 +9,14 @@ Per event the engine hands over only what the event could have changed.
 Conservation gets the credit held at nodes as a running sum kept from
 per-node local_credit() figures.  The state invariant gets the nodes the
 event touched, and the executive check the nodes that hold the role.
-tree_height runs over all nodes only when some node's state or parent
-changed, or a node in the session went dark or came back.
-Engine.full_check feeds the same checks the full node snapshot
-(global_credit_sum over every node) and compares the engine's caches
-against that recompute.
+The tree height is kept by TreeHeight: a parent -> children index and a
+depth per in-tree node, recomputed only under the nodes whose state,
+parent or dark membership moved, so an event that leaves the tree's
+shape alone costs one tuple compare per touched node.  tree_height,
+which walks every in-tree node up to the executive, stays the reference:
+the announcement reads it, and Engine.full_check compares the index, the
+depths and the height against a rebuild and against it, and feeds the
+other checks the full node snapshot (global_credit_sum over every node).
 
 Checked continuously:
   * conservation: the credits physically present at nodes (hold, entry
@@ -30,6 +33,9 @@ against the run's own structural parameters at the end.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from typing import Iterable
 
 from .core import NodeId, STRONG, WEAK
 from .credit import Credit, ZERO, credit_sum, render_credit
@@ -77,7 +83,7 @@ def assert_single_ce(
 
 
 def tree_height(nodes: dict[NodeId, NodeState]) -> int:
-    """Height of the virtual tree: executive at depth 1.
+    """Height of the virtual tree: executive at depth 1 (the reference).
 
     Nodes whose parent chain does not reach it count at a flat depth
     of 2.  That covers orphans and affected nodes, and also transient
@@ -105,6 +111,124 @@ def tree_height(nodes: dict[NodeId, NodeState]) -> int:
             cur = p
         height = max(height, depth)
     return height
+
+
+def tree_shape(st: NodeState) -> tuple:
+    """Everything of a node that tree_height reads."""
+    return (st.state, st.parent, st.dark and st.joined)
+
+
+def _in_tree(st: NodeState) -> bool:
+    return st.state == ACTIVE or (st.dark and st.joined)
+
+
+class TreeHeight:
+    """tree_height kept up to date from the nodes whose shape moved.
+
+    It keeps every node's shape, a parent -> children index, and for
+    each in-tree node its depth: 1 at the executive, one more per active
+    ancestor, or None when the parent chain breaks or loops.  `levels`
+    counts in-tree nodes per depth, a None depth at 2 as tree_height
+    counts it, so the height is its largest key.  A node's depth reads
+    only its own chain, so after an event only the nodes under a moved
+    node in the index can change.
+    """
+
+    def __init__(self, nodes: dict[NodeId, NodeState]):
+        self.nodes = nodes
+        self.shape = {k: tree_shape(st) for k, st in nodes.items()}
+        self.children: dict[NodeId, set[NodeId]] = {}
+        for k, st in nodes.items():
+            self._link(k, st.parent)
+        self.depth: dict[NodeId, int | None] = {}
+        self.levels: Counter[int] = Counter()
+        self._resolve([k for k, st in nodes.items() if _in_tree(st)])
+
+    @property
+    def height(self) -> int:
+        return max(self.levels, default=0)
+
+    def update(self, touched: Iterable[NodeId]):
+        """Catch up with the touched nodes' edits."""
+        moved = []
+        for k in touched:
+            shape = tree_shape(self.nodes[k])
+            old = self.shape[k]
+            if shape != old:
+                self.shape[k] = shape
+                moved.append(k)
+                if shape[1] != old[1]:
+                    self._unlink(k, old[1])
+                    self._link(k, shape[1])
+        if not moved:
+            return
+        under, stack = set(), moved
+        while stack:
+            k = stack.pop()
+            if k not in under:
+                under.add(k)
+                stack.extend(self.children.get(k, ()))
+        for k in under:
+            if k in self.depth:
+                self._count(self.depth.pop(k), -1)
+        self._resolve([k for k in under if _in_tree(self.nodes[k])])
+
+    def stale_parts(self) -> list[str]:
+        """Names of the parts that differ from a rebuild from scratch."""
+        fresh = TreeHeight(self.nodes)
+        parts = [
+            name
+            for name in ("shape", "children", "depth", "levels")
+            if getattr(fresh, name) != getattr(self, name)
+        ]
+        if self.height != tree_height(self.nodes):
+            parts.append("height")
+        return parts
+
+    def _link(self, k: NodeId, parent: NodeId | None):
+        if parent is not None and parent != k:
+            self.children.setdefault(parent, set()).add(k)
+
+    def _unlink(self, k: NodeId, parent: NodeId | None):
+        kids = self.children.get(parent)
+        if kids is not None:
+            kids.discard(k)
+            if not kids:
+                del self.children[parent]
+
+    def _count(self, depth: int | None, sign: int):
+        level = 2 if depth is None else depth
+        self.levels[level] += sign
+        if not self.levels[level]:
+            del self.levels[level]
+
+    def _resolve(self, todo: list[NodeId]):
+        """Fill in the depth of every in-tree node in todo.
+
+        Every active node outside todo already has its depth, so a walk
+        up a chain stops at the first one it meets.
+        """
+        nodes, depth = self.nodes, self.depth
+        for k in todo:
+            path: list[NodeId] = []
+            cur = nodes[k]
+            while cur.id not in depth:
+                path.append(cur.id)
+                if cur.is_ce():
+                    d = 1
+                    break
+                p = nodes.get(cur.parent) if cur.parent is not None else None
+                if p is None or p.state != ACTIVE or p.id in path:
+                    d = None
+                    break
+                cur = p
+            else:
+                d = depth[cur.id]
+                d = None if d is None else d + 1
+            for x in reversed(path):
+                depth[x] = d
+                self._count(d, 1)
+                d = None if d is None else d + 1
 
 
 def assert_announcement(

@@ -15,10 +15,13 @@ it sees only what the event could change: the engine records every node
 the event touched (each node a protocol handler was handed, plus the
 nodes the engine itself edits), refreshes per-node caches for those
 alone, and keeps the global figures (credit held at nodes, executives,
-open handovers, busy nodes, tree shape) as running totals.  A handler
-mutates only the NodeState it is given, so an untouched node's cached
-figures still hold.  Engine.full_check recomputes every figure from the
-raw node states and demands that the caches agree.
+open handovers, busy nodes) as running totals.  A handler mutates only
+the NodeState it is given, so an untouched node's cached figures still
+hold.  The tree height behind the report's height_max comes from a
+checker.TreeHeight told the touched nodes after each event; it redoes
+depths only under a node whose tree shape moved, so the per-event cost
+does not grow with N.  Engine.full_check recomputes every figure from
+the raw node states and demands that the caches agree.
 """
 
 from __future__ import annotations
@@ -172,8 +175,7 @@ class Engine:
         self._ces: set[NodeId] = set()
         self._handing_over: set[NodeId] = set()
         self._busy: set[NodeId] = set()
-        self._shape = {nid: _shape(st) for nid, st in self.nodes.items()}
-        self._height = 0
+        self._tree = checker.TreeHeight(self.nodes)
 
         self._push(scn.start_at, CLS_WORLD, "start", ())
         for ev in scn.events:
@@ -561,7 +563,7 @@ class Engine:
 
     def _post_event(self):
         touched = sorted(self._touched)  # node order, as a full scan meets them
-        shape_moved = self._refresh()
+        self._refresh()
         checker.assert_conservation(
             self._held, self.inflight, self.scn.credit_total, self.now
         )
@@ -573,9 +575,8 @@ class Engine:
             started=self.started,
             window_open=self.inflight_handover > 0 or bool(self._handing_over),
         )
-        if shape_moved:
-            self._height = checker.tree_height(self.nodes)
-            self.height_max = max(self.height_max, self._height)
+        self._tree.update(touched)
+        self.height_max = max(self.height_max, self._tree.height)
         # The omniscient termination instant: the moment the last busy
         # condition cleared.  Busy means a node still computing or an
         # activating message on the air; a settled executive watching its
@@ -587,12 +588,8 @@ class Engine:
             self.last_activity = self.now
         self._was_busy = busy
 
-    def _refresh(self) -> bool:
-        """Bring the checker caches up to date for every touched node.
-
-        Returns whether some node's tree shape changed.
-        """
-        shape_moved = False
+    def _refresh(self):
+        """Bring the checker caches up to date for every touched node."""
         for k in self._touched:
             st, rt = self.nodes[k], self.rt[k]
             credit = st.local_credit()
@@ -602,12 +599,7 @@ class Engine:
             _mark(self._ces, k, st.is_ce())
             _mark(self._handing_over, k, _handing_over(st))
             _mark(self._busy, k, _busy(st, rt))
-            shape = _shape(st)
-            if shape != self._shape[k]:
-                self._shape[k] = shape
-                shape_moved = True
         self._touched.clear()
-        return shape_moved
 
     def full_check(self):
         """Recompute every per-event figure from the raw node states.
@@ -624,8 +616,6 @@ class Engine:
             "executives": {n.id for n in nodes if n.is_ce()},
             "handovers": {n.id for n in nodes if _handing_over(n)},
             "busy": {n.id for n in nodes if _busy(n, self.rt[n.id])},
-            "shape": {n.id: _shape(n) for n in nodes},
-            "height": checker.tree_height(self.nodes),
             "dark": sum(1 for n in nodes if n.dark),
         }
         cached = {
@@ -634,11 +624,10 @@ class Engine:
             "executives": self._ces,
             "handovers": self._handing_over,
             "busy": self._busy,
-            "shape": self._shape,
-            "height": self._height,
             "dark": self._n_dark,
         }
         stale = [k for k in fresh if fresh[k] != cached[k]]
+        stale += self._tree.stale_parts()
         if stale:
             raise AssertionError(
                 f"t={self.now:g}: stale checker caches: {', '.join(stale)}"
@@ -717,11 +706,6 @@ def _handing_over(st: NodeState) -> bool:
 def _busy(st: NodeState, rt: _Runtime) -> bool:
     """Still computing: the workload has time left or is running."""
     return st.state == ACTIVE and (rt.work_deadline is not None or rt.work_left > 0.0)
-
-
-def _shape(st: NodeState) -> tuple:
-    """Everything of a node that checker.tree_height reads."""
-    return (st.state, st.parent, st.dark and st.joined)
 
 
 def run_scenario(

@@ -1,5 +1,7 @@
 """The omniscient checker judged on hand-built snapshots."""
 
+import random
+
 import pytest
 
 from tcran.checker import (
@@ -11,6 +13,7 @@ from tcran.checker import (
     global_credit_sum,
     message_bounds_report,
     tree_height,
+    TreeHeight,
 )
 from tcran.core import STRONG, WEAK
 from tcran.credit import ONE, ZERO, credit
@@ -78,6 +81,59 @@ def test_dark_node_stays_in_the_tree():
 def test_height_zero_when_nothing_active():
     nodes = {1: node(1, state=PASSIVE)}
     assert tree_height(nodes) == 0
+
+
+# --- incremental height --------------------------------------------------------
+
+
+def follow(tree, nodes, edited):
+    """Tell the tree which nodes changed; it must agree with a rebuild."""
+    tree.update(edited)
+    assert tree.stale_parts() == []
+    return tree.height
+
+
+def test_incremental_height_follows_a_cycle_and_a_role_move():
+    nodes = chain(5)
+    tree = TreeHeight(nodes)
+    assert tree.height == 5
+    nodes[2].parent = 4  # 2 -> 4 -> 3 -> 2: a loop that the executive left
+    assert follow(tree, nodes, [2]) == 2
+    nodes[2].parent = 1
+    assert follow(tree, nodes, [2]) == 5
+    # The role moves to 3 in one event; 1 and 2 hang below the new root.
+    nodes[3].parent = 3
+    nodes[1].parent = 3
+    assert follow(tree, nodes, [1, 3]) == 3
+    assert tree.depth == {1: 2, 2: 3, 3: 1, 4: 2, 5: 3}
+    nodes[3].state = PASSIVE  # the new executive leaves the tree
+    assert follow(tree, nodes, [3]) == 2
+    nodes[3].dark = True  # dark and joined: back in the tree
+    assert follow(tree, nodes, [3]) == 2
+    assert tree.depth[3] == 1
+
+
+def test_incremental_height_matches_the_reference_under_random_edits():
+    rng = random.Random(6)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        nodes = {i: node(i, parent=rng.randint(1, i)) for i in range(1, n + 1)}
+        tree = TreeHeight(nodes)
+        for _ in range(15):
+            edited = rng.sample(sorted(nodes), rng.randint(1, min(3, n)))
+            for k in edited:
+                st = nodes[k]
+                edit = rng.choice(("state", "parent", "parent", "dark"))
+                if edit == "state":
+                    st.state = PASSIVE if st.state == ACTIVE else ACTIVE
+                elif edit == "parent":
+                    # Self-parents move the role; others may close a loop
+                    # or point at nobody.
+                    st.parent = rng.choice([None, 99, *nodes])
+                else:
+                    st.dark = not st.dark
+                    st.joined = rng.random() < 0.8
+            assert follow(tree, nodes, edited) == tree_height(nodes)
 
 
 # --- conservation and state shape ---------------------------------------------

@@ -70,6 +70,15 @@ def test_failure_free_hundred_nodes_agree_with_full_recompute(seed):
     assert eng.announce[0] == "strong"
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_failure_free_three_hundred_nodes_agree_with_full_recompute(seed):
+    # Deep enough trees that a moved node has a subtree under it.
+    scn = gen_random_scenario(seed, n_nodes=300, failure_free=True)
+    eng = Engine(scn, seed, collect_trace=False)
+    run_checked(eng)
+    assert eng.announce[0] == "strong"
+
+
 def _failure(eng: Engine, full: bool) -> tuple[int, str]:
     with pytest.raises(SafetyViolation) as caught:
         while eng.step():
@@ -108,4 +117,27 @@ def test_edit_behind_the_engines_back_is_caught(edit, stale):
     else:
         st.parent = st.id
     with pytest.raises(AssertionError, match=f"stale checker caches: {stale}"):
+        eng.full_check()
+
+
+@pytest.mark.parametrize(
+    "nid, parent, stale",
+    [
+        # Orphan 4 (its parent 3 is passive) is adopted by node 2, which
+        # sits at depth 2: 4 drops from a flat 2 to depth 3.
+        (4, 2, "shape, children, depth, levels, height"),
+        # The executive points at its own child: a pointer cycle 1 <-> 2
+        # with no executive on it.
+        (1, 2, "executives, shape, children, depth, levels"),
+    ],
+    ids=["adopt", "cycle"],
+)
+def test_parent_edit_behind_the_engines_back_stales_the_depths(nid, parent, stale):
+    eng = Engine(golden("sec6"), 1)
+    for _ in range(12):
+        eng.step()
+    eng.full_check()
+    assert eng.nodes[nid].state == "active" and eng.nodes[parent].state == "active"
+    eng.nodes[nid].parent = parent
+    with pytest.raises(AssertionError, match=f"stale checker caches: {stale}$"):
         eng.full_check()
