@@ -193,6 +193,8 @@ class Engine:
         stream = "b" if isinstance(msg, COM) else "c"
         n = self._delay_n[(src, dst, stream)] = self._delay_n[(src, dst, stream)] + 1
         lo, hi = self.scn.delay
+        if lo == hi:
+            return lo  # a fixed delay needs no draw
         rng = random.Random(f"{self.seed}|delay|{src}|{dst}|{stream}|{n}")
         return rng.uniform(lo, hi)
 
