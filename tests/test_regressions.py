@@ -31,3 +31,11 @@ def test_failure_free_fuzz_finding_announces_strong(seed):
 def test_zero_mirror_ledger_row_survives_a_handover():
     _, report = _run(4656)
     assert report.terminated == "strong"
+
+
+@pytest.mark.xfail(
+    strict=True, reason="a node that never joined keeps its stranded credit"
+)
+def test_never_joined_node_releases_its_stranded_credit():
+    _, report = _run(2075)
+    assert report.terminated == "strong"
