@@ -9,14 +9,14 @@ Per event the engine hands over only what the event could have changed.
 Conservation gets the credit held at nodes as a running sum kept from
 per-node local_credit() figures.  The state invariant gets the nodes the
 event touched, and the executive check the nodes that hold the role.
-The tree height is kept by TreeHeight: a parent -> children index and a
-depth per in-tree node, recomputed only under the nodes whose state,
-parent or dark membership moved, so an event that leaves the tree's
-shape alone costs one tuple compare per touched node.  tree_height,
-which walks every in-tree node up to the executive, stays the reference:
-the announcement reads it, and Engine.full_check compares the index, the
-depths and the height against a rebuild and against it, and feeds the
-other checks the full node snapshot (global_credit_sum over every node).
+The tree height comes from a TreeHeight that the engine tells the
+touched nodes; it redoes depths only under nodes whose tree shape
+(state, parent, dark membership) moved.  tree_height, a walk from every
+in-tree node up to the executive, stays the reference: the announcement
+reads it, and Engine.full_check compares TreeHeight's index, depths and
+height against a rebuild and against it.  Engine.full_check also feeds
+the other checks the full node snapshot (global_credit_sum over every
+node) and compares the engine's caches against that recompute.
 
 Checked continuously:
   * conservation: the credits physically present at nodes (hold, entry
@@ -113,7 +113,7 @@ def tree_height(nodes: dict[NodeId, NodeState]) -> int:
     return height
 
 
-def tree_shape(st: NodeState) -> tuple:
+def _tree_shape(st: NodeState) -> tuple:
     """Everything of a node that tree_height reads."""
     return (st.state, st.parent, st.dark and st.joined)
 
@@ -136,7 +136,7 @@ class TreeHeight:
 
     def __init__(self, nodes: dict[NodeId, NodeState]):
         self.nodes = nodes
-        self.shape = {k: tree_shape(st) for k, st in nodes.items()}
+        self.shape = {k: _tree_shape(st) for k, st in nodes.items()}
         self.children: dict[NodeId, set[NodeId]] = {}
         for k, st in nodes.items():
             self._link(k, st.parent)
@@ -152,7 +152,7 @@ class TreeHeight:
         """Catch up with the touched nodes' edits."""
         moved = []
         for k in touched:
-            shape = tree_shape(self.nodes[k])
+            shape = _tree_shape(self.nodes[k])
             old = self.shape[k]
             if shape != old:
                 self.shape[k] = shape

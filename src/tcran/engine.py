@@ -19,9 +19,10 @@ open handovers, busy nodes) as running totals.  A handler mutates only
 the NodeState it is given, so an untouched node's cached figures still
 hold.  The tree height behind the report's height_max comes from a
 checker.TreeHeight told the touched nodes after each event; it redoes
-depths only under a node whose tree shape moved, so the per-event cost
-does not grow with N.  Engine.full_check recomputes every figure from
-the raw node states and demands that the caches agree.
+depths only under a node whose tree shape moved, so an event that leaves
+the shape alone costs one tuple compare per touched node.
+Engine.full_check recomputes every figure from the raw node states and
+demands that the caches agree.
 """
 
 from __future__ import annotations

@@ -102,6 +102,8 @@ def test_mutants_fail_at_the_same_event_with_full_recompute(mutation):
     [
         ("hold", "credit, held"),
         ("parent", "executives, shape"),
+        ("adopt", "shape, children, depth, levels, height"),
+        ("cycle", "executives, shape, children, depth, levels"),
     ],
 )
 def test_edit_behind_the_engines_back_is_caught(edit, stale):
@@ -109,35 +111,17 @@ def test_edit_behind_the_engines_back_is_caught(edit, stale):
     for _ in range(12):
         eng.step()
     eng.full_check()
-    # Node 5 is passive and out of the tree at this point; no event
-    # touched it, so only the full recompute can see the edit.
-    st = eng.nodes[5]
+    # No event touched the edited node, so only the full recompute can
+    # see the edit.  Node 5 is passive and out of the tree; node 4 is an
+    # orphan (its parent 3 is passive), and executive 1 has child 2.
+    nodes = eng.nodes
     if edit == "hold":
-        st.hold = st.hold + credit(1, 7)
+        nodes[5].hold = nodes[5].hold + credit(1, 7)
+    elif edit == "parent":
+        nodes[5].parent = 5
+    elif edit == "adopt":
+        nodes[4].parent = 2  # from a flat depth 2 to depth 3
     else:
-        st.parent = st.id
-    with pytest.raises(AssertionError, match=f"stale checker caches: {stale}"):
-        eng.full_check()
-
-
-@pytest.mark.parametrize(
-    "nid, parent, stale",
-    [
-        # Orphan 4 (its parent 3 is passive) is adopted by node 2, which
-        # sits at depth 2: 4 drops from a flat 2 to depth 3.
-        (4, 2, "shape, children, depth, levels, height"),
-        # The executive points at its own child: a pointer cycle 1 <-> 2
-        # with no executive on it.
-        (1, 2, "executives, shape, children, depth, levels"),
-    ],
-    ids=["adopt", "cycle"],
-)
-def test_parent_edit_behind_the_engines_back_stales_the_depths(nid, parent, stale):
-    eng = Engine(golden("sec6"), 1)
-    for _ in range(12):
-        eng.step()
-    eng.full_check()
-    assert eng.nodes[nid].state == "active" and eng.nodes[parent].state == "active"
-    eng.nodes[nid].parent = parent
+        nodes[1].parent = 2  # a pointer cycle 1 <-> 2, no executive on it
     with pytest.raises(AssertionError, match=f"stale checker caches: {stale}$"):
         eng.full_check()
