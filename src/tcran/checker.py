@@ -217,7 +217,7 @@ class TreeHeight:
                 if cur.is_ce():
                     d = 1
                     break
-                p = nodes.get(cur.parent) if cur.parent is not None else None
+                p = nodes.get(cur.parent)
                 if p is None or p.state != ACTIVE or p.id in path:
                     d = None
                     break
