@@ -70,9 +70,10 @@ def test_failure_free_hundred_nodes_agree_with_full_recompute(seed):
     assert eng.announce[0] == "strong"
 
 
-@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("seed", [0, 4])
 def test_failure_free_three_hundred_nodes_agree_with_full_recompute(seed):
-    # Deep enough trees that a moved node has a subtree under it.
+    # These seeds grow trees of height 11 and 6, so a moved node can have
+    # a subtree under it; many seeds at this size stay at height 1 or 2.
     scn = gen_random_scenario(seed, n_nodes=300, failure_free=True)
     eng = Engine(scn, seed, collect_trace=False)
     run_checked(eng)
