@@ -61,13 +61,14 @@ def assert_conservation(held: Credit, inflight: Credit, total: Credit, when: flo
 
 def assert_state_invariant(nodes: dict[NodeId, NodeState]):
     for n in nodes.values():
-        if n.state == PASSIVE and n.hold != ZERO:
+        # Truthiness is the cheapest exact zero test on a Credit.
+        if n.state == PASSIVE and n.hold:
             raise SafetyViolation(f"passive node {n.id} holds {render_credit(n.hold)}")
         if (
             n.state == ACTIVE
             and not n.settled
             and n.terminated is None
-            and n.hold == ZERO
+            and not n.hold
         ):
             raise SafetyViolation(f"computing node {n.id} holds nothing")
 

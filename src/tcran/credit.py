@@ -2,7 +2,20 @@
 
 Credit is the conserved quantity of the whole protocol: every split,
 transfer and merge has to balance to the last digit, so values are
-``fractions.Fraction`` rationals and never floats.
+exact rationals and never floats.
+
+``Credit`` is a ``fractions.Fraction`` subclass with no state of its own.
+The simulator re-checks conservation after every event, so a few
+operations run on every event: ``+``, ``-``, ``==`` and ``!=`` between
+two ``Credit`` values, and ``/`` by a positive ``int``.  For those,
+``Credit`` reads the two lowest-terms slots, reduces with ``math.gcd``
+and builds the result without ``Fraction.__new__`` or the ``numbers``
+ABC checks behind Fraction's generic operators.  Any other operand, and
+every other operation, goes to the inherited ``Fraction`` method, so
+each value is exact and equal, in numerator, denominator and hash, to
+what ``Fraction`` gives.  Mixed arithmetic with ``int`` or a plain
+``Fraction`` returns a plain ``Fraction``; the engine keeps its credit
+books closed under ``Credit``.
 
 Credits serialize as ``"num/den"`` strings (``"9/10"``), or just
 ``"num"`` when the denominator is 1.  The constructor and the parser
@@ -13,21 +26,82 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 from .errors import NegativeCredit, ZeroCredit
 
 BACKEND = "fractions"
 
-Credit = Fraction
 
-ZERO: Credit = Fraction(0)
-ONE: Credit = Fraction(1)
+_new = object.__new__
+
+
+def _reduced(num: int, den: int) -> Credit:
+    # num/den is already in lowest terms with den > 0.
+    c = _new(Credit)
+    c._numerator = num
+    c._denominator = den
+    return c
+
+
+def _add(na: int, da: int, nb: int, db: int) -> Credit:
+    # na/da + nb/db for lowest-terms operands, reduced without a full
+    # gcd of the product (Knuth, TAOCP vol. 2, 4.5.1).
+    g = gcd(da, db)
+    if g == 1:
+        return _reduced(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _reduced(t, s * db)
+    return _reduced(t // g2, s * (db // g2))
+
+
+class Credit(Fraction):
+    """An exact rational with fast same-type add, subtract, compare and split."""
+
+    __slots__ = ()
+
+    # Defining __eq__ would otherwise set __hash__ to None.
+    __hash__ = Fraction.__hash__
+
+    def __add__(a, b):
+        if type(b) is Credit:
+            return _add(a._numerator, a._denominator, b._numerator, b._denominator)
+        return Fraction.__add__(a, b)
+
+    def __sub__(a, b):
+        if type(b) is Credit:
+            return _add(a._numerator, a._denominator, -b._numerator, b._denominator)
+        return Fraction.__sub__(a, b)
+
+    def __eq__(a, b):
+        if type(b) is Credit:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        return Fraction.__eq__(a, b)
+
+    def __ne__(a, b):
+        if type(b) is Credit:
+            return a._numerator != b._numerator or a._denominator != b._denominator
+        eq = Fraction.__eq__(a, b)
+        return eq if eq is NotImplemented else not eq
+
+    def __truediv__(a, b):
+        if type(b) is int and b > 0:
+            g = gcd(a._numerator, b)
+            return _reduced(a._numerator // g, a._denominator * (b // g))
+        return Fraction.__truediv__(a, b)
+
+
+ZERO: Credit = Credit(0)
+ONE: Credit = Credit(1)
 
 
 def credit(num: int, den: int = 1) -> Credit:
     """Build an exact credit from an integer numerator/denominator pair."""
-    c = Fraction(num, den)
+    c = Credit(num, den)
     if c < 0:
         raise NegativeCredit(f"credit {num}/{den} is negative")
     return c
@@ -49,7 +123,7 @@ def parse_credit(text: str) -> Credit:
     den = int(m.group(2)) if m.group(2) else 1
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(num, den)
+    return Credit(num, den)
 
 
 def render_credit(c: Credit) -> str:

@@ -227,7 +227,12 @@ class Engine:
         """A message is in flight from its launch until its delivery."""
         cargo = msg.carried_credit()
         if cargo:
-            self.inflight = self.inflight + sign * cargo
+            # Add or subtract rather than multiply: int * Credit is a
+            # plain Fraction, which every later add would have to convert.
+            if sign > 0:
+                self.inflight = self.inflight + cargo
+            else:
+                self.inflight = self.inflight - cargo
         if isinstance(msg, COM):
             self.inflight_coms += sign
         if isinstance(msg, ImPC) and msg.handover:
@@ -595,9 +600,11 @@ class Engine:
         """Bring the checker caches up to date for every touched node."""
         for k in self._touched:
             st, rt = self.nodes[k], self.rt[k]
-            credit = st.local_credit()
-            if credit != self._credit[k]:
-                self._held += credit - self._credit[k]
+            credit, old = st.local_credit(), self._credit[k]
+            # local_credit returns the hold itself when the other books
+            # are empty, so identity settles most unchanged nodes.
+            if credit is not old and credit != old:
+                self._held += credit - old
                 self._credit[k] = credit
             _mark(self._ces, k, st.is_ce())
             _mark(self._handing_over, k, _handing_over(st))

@@ -211,7 +211,9 @@ class NodeState:
         """Everything physically at this node (conservation accounting).
 
         Runs for every touched node after every event, so an empty book
-        costs no Fraction add.
+        costs no add, and with every other book empty the result is the
+        hold object itself, which lets the engine's refresh skip the
+        compare.
         """
         total = self.hold
         if self.in_map:
@@ -240,8 +242,8 @@ class NodeState:
         if self.in_map:
             total = credit_sum(self.in_map.values())
             parts.append(f"in={render_credit(total)}")
-        # Truthiness, not != ZERO: Fraction.__eq__ goes through an ABC
-        # isinstance check, and this runs for every trace line.
+        # Truthiness, not != ZERO: it is the cheapest exact zero test,
+        # and this runs for every trace line.
         if self.pending:
             esc = self.escrow_total()
             if esc:
