@@ -1,15 +1,18 @@
 """Credit arithmetic: exactness, splits, serialization."""
 
+import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import tcran
 from tcran.credit import (
     ONE,
     ZERO,
+    Credit,
     credit,
     credit_sum,
     parse_credit,
@@ -128,3 +131,88 @@ def test_backend_agrees_with_fraction_on_chained_arithmetic():
 
 def test_backend_name_is_reported():
     assert tcran.BACKEND == "fractions"
+
+
+# --- Credit against fractions.Fraction as the reference ----------------------
+
+numerators = st.integers(-(10**9), 10**9)
+denominators = st.integers(1, 10**6)
+
+
+@st.composite
+def credit_pairs(draw):
+    """Two signed Credits whose reduced denominators are equal, coprime,
+    share a factor, or are both 1."""
+    na, nb = draw(numerators), draw(numerators)
+    kind = draw(st.sampled_from(["equal", "coprime", "shared", "integer"]))
+    if kind == "equal":
+        da = db = draw(denominators)
+        na, nb = na * da + 1, nb * da - 1  # coprime to da, so da survives
+    elif kind == "coprime":
+        da = draw(denominators)
+        db = draw(denominators.filter(lambda d: gcd(d, da) == 1))
+    elif kind == "shared":
+        g = draw(st.integers(2, 1000))
+        da, db = g * draw(st.integers(1, 1000)), g * draw(st.integers(1, 1000))
+    else:
+        da = db = 1
+    return Credit(na, da), Credit(nb, db)
+
+
+def assert_same(got, ref):
+    assert type(got) is Credit
+    assert got == ref
+    assert (got.numerator, got.denominator) == (ref.numerator, ref.denominator)
+    assert hash(got) == hash(ref)
+
+
+@given(credit_pairs())
+@example((Credit(1, 6), Credit(1, 6)))  # the sum reduces by the shared factor
+@example((Credit(1, 6), Credit(-1, 6)))  # zero keeps denominator 1
+@example((Credit(5, 12), Credit(7, 18)))
+@example((Credit(3), Credit(3)))
+def test_add_and_sub_match_fraction(pair):
+    a, b = pair
+    fa, fb = Fraction(a), Fraction(b)
+    for op in (operator.add, operator.sub):
+        assert_same(op(a, b), op(fa, fb))
+        assert_same(op(b, a), op(fb, fa))
+
+
+@given(credit_pairs())
+@example((Credit(2, 7), Credit(2, 7)))
+def test_comparisons_match_fraction(pair):
+    a, b = pair
+    fa, fb = Fraction(a), Fraction(b)
+    for x, y, fx, fy in ((a, b, fa, fb), (a, a + ZERO, fa, fa)):
+        assert (x == y) is (fx == fy)
+        assert (x != y) is (fx != fy)
+        assert (x < y) is (fx < fy)
+        assert (y < x) is (fy < fx)
+
+
+@given(st.builds(Credit, numerators, denominators), st.integers(1, 10**4))
+@example(Credit(0), 3)
+@example(Credit(6, 7), 3)
+@example(Credit(-9, 4), 6)
+def test_division_by_a_positive_int_matches_fraction(c, q):
+    assert_same(c / q, Fraction(c) / q)
+
+
+def test_mixing_with_int_and_fraction_stays_exact():
+    a, f = credit(5, 6), Fraction(1, 4)
+    assert a + 1 == Fraction(11, 6) and 1 + a == Fraction(11, 6)
+    assert a - f == Fraction(7, 12) and f - a == Fraction(-7, 12)
+    assert a * 2 == Fraction(5, 3) and 2 * a == Fraction(5, 3)
+    assert a / f == Fraction(10, 3) and a / -5 == Fraction(-1, 6)
+    assert a == Fraction(5, 6) and Fraction(5, 6) == a and a != f
+    assert credit(3) == 3 and credit(3) != 4 and ZERO == 0
+    assert (a == "5/6") is False and a != "5/6"
+    assert hash(credit(3)) == hash(3) and {Fraction(5, 6): 1}[a] == 1
+    with pytest.raises(ZeroDivisionError):
+        a / 0
+
+
+def test_constructors_return_credit():
+    for c in (ZERO, ONE, credit(3, 9), parse_credit("9/10"), *split_credit(ONE, 2)):
+        assert type(c) is Credit

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from tcran.core import COM, ImP, TM
-from tcran.credit import ZERO, credit
+from tcran.credit import ZERO, Credit, credit
 from tcran.engine import Engine, run_scenario
 from tcran.errors import HorizonExceeded, SafetyViolation
 from tcran.scenario import gen_random_scenario, load_scenario
@@ -354,3 +354,41 @@ def test_strict_horizon_raises():
     eng = Engine(golden("sec6"), seed=1, horizon=3.0)
     with pytest.raises(HorizonExceeded):
         eng.run(strict_horizon=True)
+
+
+def test_credit_books_stay_exactly_credit():
+    # Credit's fast paths apply only when both operands are Credit; an
+    # int * Credit or any other mix returns a plain Fraction, which every
+    # later conservation add would take the slow way.  Seed 164 fills
+    # every book but the reclaim rows, which these sizes do not reach.
+    seen = set()
+
+    def books(eng):
+        yield "inflight", eng.inflight
+        yield "held", eng._held
+        yield from (("cache", c) for c in eng._credit.values())
+        for n in eng.nodes.values():
+            yield "hold", n.hold
+            yield "stranded", n.stranded
+            yield from (("in", c) for c in n.in_map.values())
+            yield from (("out", c) for c in n.out_map.values())
+            for i, o in n.pu_ledger.values():
+                yield "ledger", i
+                yield "ledger", o
+            yield from (("reclaim", c) for c in n.reclaimable.values())
+            yield from (("reported", c) for c in n.reported_in.values())
+
+    for seed in (17, 20, 164):
+        scn = gen_random_scenario(seed, n_nodes=3 + seed % 28)
+        assert scn.events
+        eng = Engine(scn, seed, collect_trace=False)
+        try:
+            while eng.step():
+                for book, c in books(eng):
+                    assert type(c) is Credit, (seed, eng.now, book, type(c))
+                    if c:
+                        seen.add(book)
+        except HorizonExceeded:
+            pass
+    assert seen >= {"inflight", "held", "cache", "hold", "stranded", "in",
+                    "out", "ledger", "reported"}
