@@ -779,12 +779,14 @@ def on_recovery(st: NodeState, ctx: Ctx) -> Out:
     Cargo that was dropped on this node while it was dark is folded back
     into its hold; a passive node cannot keep holding it, so it bounces
     the credit onward through the ordinary surrender guards.  A node that
-    never joined the computation cannot address anyone and keeps its
-    strandings parked.
+    never joined the computation joins now if credit was stranded on it,
+    so that credit takes the same path; otherwise it stays out.
     """
     out = Out(label="B3")
     if not st.joined:
-        return out
+        if not st.stranded:
+            return out
+        st.joined = True
     out.send(None, NaP(st.id))
     for k in sorted(st.neighbors):
         p = ctx.view(k)

@@ -33,9 +33,6 @@ def test_zero_mirror_ledger_row_survives_a_handover():
     assert report.terminated == "strong"
 
 
-@pytest.mark.xfail(
-    strict=True, reason="a node that never joined keeps its stranded credit"
-)
 def test_never_joined_node_releases_its_stranded_credit():
     _, report = _run(2075)
     assert report.terminated == "strong"
