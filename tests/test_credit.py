@@ -201,14 +201,21 @@ def test_division_by_a_positive_int_matches_fraction(c, q):
 
 def test_mixing_with_int_and_fraction_stays_exact():
     a, f = credit(5, 6), Fraction(1, 4)
-    assert a + 1 == Fraction(11, 6) and 1 + a == Fraction(11, 6)
-    assert a - f == Fraction(7, 12) and f - a == Fraction(-7, 12)
-    assert a * 2 == Fraction(5, 3) and 2 * a == Fraction(5, 3)
-    assert a / f == Fraction(10, 3) and a / -5 == Fraction(-1, 6)
-    assert a == Fraction(5, 6) and Fraction(5, 6) == a and a != f
-    assert credit(3) == 3 and credit(3) != 4 and ZERO == 0
-    assert (a == "5/6") is False and a != "5/6"
-    assert hash(credit(3)) == hash(3) and {Fraction(5, 6): 1}[a] == 1
+    assert a + 1 == 1 + a == Fraction(11, 6)
+    assert a - f == Fraction(7, 12)
+    assert f - a == Fraction(-7, 12)
+    assert a * 2 == 2 * a == Fraction(5, 3)
+    assert a / f == Fraction(10, 3)
+    assert a / -5 == Fraction(-1, 6)
+    assert a == Fraction(5, 6) == a
+    assert a != f
+    assert credit(3) == 3
+    assert credit(3) != 4
+    assert ZERO == 0
+    assert (a == "5/6") is False
+    assert a != "5/6"
+    assert hash(credit(3)) == hash(3)
+    assert {Fraction(5, 6): 1}[a] == 1
     with pytest.raises(ZeroDivisionError):
         a / 0
 
