@@ -8,7 +8,9 @@ protocol's own bookkeeping beyond the raw fields.
 Per event the engine hands over only what the event could have changed.
 Conservation gets the credit held at nodes as a running sum kept from
 per-node local_credit() figures.  The state invariant gets the nodes the
-event touched, and the executive check the nodes that hold the role.
+event touched, and the executive check the nodes that hold the role;
+both take any iterable of NodeState, so the engine passes what it has
+without building a mapping per event.
 The tree height comes from a TreeHeight that the engine tells the
 touched nodes; it redoes depths only under nodes whose tree shape
 (state, parent, dark membership) moved.  tree_height, a walk from every
@@ -59,8 +61,8 @@ def assert_conservation(held: Credit, inflight: Credit, total: Credit, when: flo
         )
 
 
-def assert_state_invariant(nodes: dict[NodeId, NodeState]):
-    for n in nodes.values():
+def assert_state_invariant(nodes: Iterable[NodeState]):
+    for n in nodes:
         # Truthiness is the cheapest exact zero test on a Credit.
         if n.state == PASSIVE and n.hold:
             raise SafetyViolation(f"passive node {n.id} holds {render_credit(n.hold)}")
@@ -73,10 +75,8 @@ def assert_state_invariant(nodes: dict[NodeId, NodeState]):
             raise SafetyViolation(f"computing node {n.id} holds nothing")
 
 
-def assert_single_ce(
-    nodes: dict[NodeId, NodeState], started: bool, window_open: bool
-):
-    holders = sorted(n.id for n in nodes.values() if n.is_ce())
+def assert_single_ce(nodes: Iterable[NodeState], started: bool, window_open: bool):
+    holders = sorted(n.id for n in nodes if n.is_ce())
     if len(holders) > 1:
         raise SafetyViolation(f"multiple chief executives: {holders}")
     if started and not window_open and not holders:
@@ -149,8 +149,8 @@ class TreeHeight:
     def height(self) -> int:
         return max(self.levels, default=0)
 
-    def update(self, touched: Iterable[NodeId]):
-        """Catch up with the touched nodes' edits."""
+    def update(self, touched: Iterable[NodeId]) -> bool:
+        """Catch up with the touched nodes' edits; True if a shape moved."""
         moved = []
         for k in touched:
             shape = _tree_shape(self.nodes[k])
@@ -162,7 +162,7 @@ class TreeHeight:
                     self._unlink(k, old[1])
                     self._link(k, shape[1])
         if not moved:
-            return
+            return False
         under, stack = set(), moved
         while stack:
             k = stack.pop()
@@ -173,6 +173,7 @@ class TreeHeight:
             if k in self.depth:
                 self._count(self.depth.pop(k), -1)
         self._resolve([k for k in under if _in_tree(self.nodes[k])])
+        return True
 
     def stale_parts(self) -> list[str]:
         """Names of the parts that differ from a rebuild from scratch."""

@@ -32,7 +32,7 @@ def render_parcel(p: Parcel) -> str:
     return f"{p[0]}.{p[1]}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     kind: ClassVar[str] = "?"
 
@@ -44,7 +44,7 @@ class Message:
         return ZERO
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class COM(Message):
     """Computation distribution; also used (flagged) for ledger refunds."""
 
@@ -69,7 +69,7 @@ LedgerRows = tuple[tuple[NodeId, NodeId, Credit, Credit], ...]
 ReclaimRows = tuple[tuple[NodeId, NodeId, Credit], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImPC(Message):
     """Passive-with-credit surrender: opens a three-way handshake.
 
@@ -122,7 +122,7 @@ class ImPC(Message):
         return cargo + credit_sum(c for _, _, c in self.reclaim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImP(Message):
     """Passive without credit: tells the receiver its new parent is p."""
 
@@ -134,7 +134,7 @@ class ImP(Message):
         return f"ImP({self.p})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AcK(Message):
     parcel: Parcel = (0, 0)
 
@@ -144,7 +144,7 @@ class AcK(Message):
         return f"AcK({render_parcel(self.parcel)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AAcK(Message):
     parcel: Parcel = (0, 0)
 
@@ -154,7 +154,7 @@ class AAcK(Message):
         return f"AAcK({render_parcel(self.parcel)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TM(Message):
     """Termination announcement, strong or weak."""
 
@@ -166,7 +166,7 @@ class TM(Message):
         return f"TM({self.mode})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PaN(Message):
     """Affected-node report to the chief executive.
 
@@ -191,7 +191,7 @@ class PaN(Message):
         return self.in_credit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NaP(Message):
     """Recovery report: the affected node is back on the air."""
 
@@ -203,7 +203,7 @@ class NaP(Message):
         return f"NaP({self.recovered})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpecialForward(Message):
     """Handshake-reconciliation cargo to the chief executive.
 
@@ -228,7 +228,7 @@ class SpecialForward(Message):
         return self.credit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpecialReclaim(Message):
     """Request to get one's ledgered credit back after a node recovered."""
 
@@ -242,5 +242,7 @@ class SpecialReclaim(Message):
 
 # Delivery priority: acknowledgements outrank everything else so the
 # handshake behaves near-atomically; all other kinds share one class.
+# The message classes are final, so an exact type test suffices.
 def priority_class(msg: Message) -> int:
-    return 0 if isinstance(msg, (AcK, AAcK)) else 1
+    kind = type(msg)
+    return 0 if kind is AcK or kind is AAcK else 1

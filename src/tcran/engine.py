@@ -23,6 +23,16 @@ depths only under a node whose tree shape moved, so an event that leaves
 the shape alone costs one tuple compare per touched node.
 Engine.full_check recomputes every figure from the raw node states and
 demands that the caches agree.
+
+Every event pays the engine's fixed cost, so the per-event path keeps
+three rules.  Trace text (message descriptions, notes, node snapshots)
+is built only when the engine collects a trace.  Nothing the engine
+keeps holds one of its bound methods: a Ctx is built per handler call
+and dropped with it, so an engine is freed by reference counting alone,
+without waiting for the cyclic collector.  The checker is called
+through the module, as checker.<fn>, once per event, and protocol
+handlers are looked up on the module per delivery, so a wrapper
+installed on either module sees every call.
 """
 
 from __future__ import annotations
@@ -54,6 +64,7 @@ from .credit import Credit, ZERO, credit_sum, render_credit
 from .errors import (
     HorizonExceeded,
     NotChiefExecutive,
+    SafetyViolation,
 )
 from . import protocol as P
 from .protocol import ACTIVE, Ctx, NodeState, Out, Peer
@@ -83,7 +94,7 @@ _HANDLERS = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class _Runtime:
     """Engine-side per-node bookkeeping that is not protocol state."""
 
@@ -168,7 +179,7 @@ class Engine:
         self._choice_n: Counter = Counter()
 
         # Checker caches, kept current for the nodes in _touched by
-        # _refresh after every event.  A fresh node is passive and holds
+        # _post_event after every event.  A fresh node is passive and holds
         # nothing, so no node starts in any set or in the tree.
         self._touched: set[NodeId] = set()
         self._credit: dict[NodeId, Credit] = dict.fromkeys(self.nodes, ZERO)
@@ -189,9 +200,12 @@ class Engine:
         heapq.heappush(self.queue, (at, cls, self.seq, kind, payload))
 
     def _delay_for(self, src: NodeId, dst: NodeId, msg: Message) -> float:
-        if isinstance(msg, (AcK, AAcK)):
+        # Exact type tests: the message classes are final, and this runs
+        # for every send.
+        kind = type(msg)
+        if kind is AcK or kind is AAcK:
             return self.scn.d_ack
-        stream = "b" if isinstance(msg, COM) else "c"
+        stream = "b" if kind is COM else "c"
         n = self._delay_n[(src, dst, stream)] = self._delay_n[(src, dst, stream)] + 1
         lo, hi = self.scn.delay
         if lo == hi:
@@ -200,18 +214,18 @@ class Engine:
         return rng.uniform(lo, hi)
 
     def _enqueue_send(self, frm: NodeId, send: P.Send):
-        msg = send.msg
+        msg, dst = send.msg, send.dst
         self.counters[send.bucket] += 1
-        if send.dst is not None and send.dst == frm:
+        if dst is not None and dst == frm:
             # Local hop: no radio involved, same-instant delivery.
             at, cls = self.now, CLS_ACK
         else:
             # Role-addressed messages resolve at delivery; charge the
             # delay as if sent to the current executive when one exists.
-            probe = send.dst if send.dst is not None else (self._find_ce() or frm)
+            probe = dst if dst is not None else (self._find_ce() or frm)
             at = self.now + self._delay_for(frm, probe, msg)
             cls = CLS_ACK if priority_class(msg) == 0 else CLS_MSG
-        self._launch(at, cls, send.dst, frm, msg)
+        self._launch(at, cls, dst, frm, msg)
 
     def inject(self, at: float, frm: NodeId, dst: NodeId | None, msg: Message):
         """Drop an arbitrary message into the network (tests, fuzzing)."""
@@ -233,9 +247,10 @@ class Engine:
                 self.inflight = self.inflight + cargo
             else:
                 self.inflight = self.inflight - cargo
-        if isinstance(msg, COM):
+        kind = type(msg)
+        if kind is COM:
             self.inflight_coms += sign
-        if isinstance(msg, ImPC) and msg.handover:
+        elif kind is ImPC and msg.handover:
             self.inflight_handover += sign
 
     # --- views ----------------------------------------------------------------
@@ -245,7 +260,10 @@ class Engine:
         touched = self._touched
         holders = [c for c in self._ces if c not in touched]
         holders += [k for k in touched if self.nodes[k].is_ce()]
-        assert len(holders) <= 1, f"two executives: {sorted(holders)}"
+        if len(holders) > 1:
+            raise SafetyViolation(
+                f"t={self.now:g}: two executives: {sorted(holders)}"
+            )
         return holders[0] if holders else None
 
     def _peer(self, k: NodeId) -> Peer:
@@ -299,13 +317,19 @@ class Engine:
             self._enqueue_send(nid, send)
         for timer in out.timers:
             self._push(timer.deadline, CLS_TIMER, "timer", (nid, timer.kind, timer.parcel))
-        note = f"{detail} {';'.join(out.notes)}".strip()
-        self._trace(nid, out.label or "-", note)
+        if self.collect_trace:
+            note = f"{detail} {';'.join(out.notes)}".strip()
+            self._trace(nid, out.label or "-", note)
         if out.announce is not None:
             self._announce(nid, out.announce)
 
     def _announce(self, nid: NodeId, mode: str):
-        assert self.announce is None, "second announcement"
+        if self.announce is not None:
+            first, at, by = self.announce
+            raise SafetyViolation(
+                f"t={self.now:g}: node {nid} announced {mode} after node "
+                f"{by} announced {first} at t={at:g}"
+            )
         self.announce = (mode, self.now, nid)
         self.height_at_announce = checker.tree_height(self.nodes)
         checker.assert_announcement(
@@ -380,19 +404,20 @@ class Engine:
                 st.stranded = st.stranded + cargo
             self.counters["anomaly"] += 1
             self.anomalies.append(f"t={self.now:g} {type(e).__name__}: {e}")
-            self._trace(dst, "rejected", f"{msg.describe()} from {frm}")
+            if self.collect_trace:
+                self._trace(dst, "rejected", f"{msg.describe()} from {frm}")
             return
+        kind = type(msg)
         activated_now = (
-            isinstance(msg, COM)
-            and st.state == ACTIVE
-            and "activated" in out.notes
+            kind is COM and st.state == ACTIVE and "activated" in out.notes
         )
-        self._apply(dst, out, f"{msg.describe()} from {frm}")
+        detail = f"{msg.describe()} from {frm}" if self.collect_trace else ""
+        self._apply(dst, out, detail)
         if activated_now:
             if not st.distributed and self.scn.plan.get(dst):
                 self._run_plan(dst)
             self._schedule_work(dst)
-        elif isinstance(msg, AAcK) and not st.awaiting:
+        elif kind is AAcK and not st.awaiting:
             # The deferred-idle rule: the last settlement confirmation
             # may be what the finished workload was waiting on.
             self._maybe_idle(dst)
@@ -410,19 +435,22 @@ class Engine:
         self._touched.update((st.id, frm))
         self.counters["drop"] += 1
         cargo = msg.carried_credit()
-        if isinstance(msg, ImPC):
+        tracing = self.collect_trace
+        if type(msg) is ImPC:
             # The handshake protects surrendered credit: the parcel
             # bounces back into the sender's escrow for the retry path.
             sender = self.nodes[frm]
             rec = sender.pending.get(msg.parcel)
             if rec is not None and not rec.returned:
                 rec.returned = True
-                self._trace(frm, "escrow-return", msg.describe())
+                if tracing:
+                    self._trace(frm, "escrow-return", msg.describe())
             else:
                 st.stranded = st.stranded + cargo
         elif cargo != ZERO:
             st.stranded = st.stranded + cargo
-        self._trace(st.id, "drop", f"{msg.describe()} from {frm} (dark)")
+        if tracing:
+            self._trace(st.id, "drop", f"{msg.describe()} from {frm} (dark)")
 
     def _run_plan(self, nid: NodeId):
         st = self.nodes[nid]
@@ -512,7 +540,11 @@ class Engine:
         self.now = at
         self.events_processed += 1
 
-        if kind == "start":
+        # The most common kind first.
+        if kind == "deliver":
+            dst, frm, msg = payload
+            self._deliver(dst, frm, msg)
+        elif kind == "start":
             st = self.nodes[self.scn.start_node]
             out = P.on_external_start(st, self.scn.credit_total, self._ctx(st.id))
             self.started = True
@@ -522,9 +554,6 @@ class Engine:
             self._schedule_work(st.id)
         elif kind == "world":
             self._world(payload[0])
-        elif kind == "deliver":
-            dst, frm, msg = payload
-            self._deliver(dst, frm, msg)
         elif kind == "timer":
             nid, tkind, parcel = payload
             st = self.nodes[nid]
@@ -570,46 +599,61 @@ class Engine:
         return True
 
     def _post_event(self):
-        touched = sorted(self._touched)  # node order, as a full scan meets them
-        self._refresh()
+        """Bring the checker caches up to date for every touched node,
+        then run the per-event checks, in one pass over those nodes."""
+        touched = self._touched
+        # Node order, as a full scan meets them.
+        order = sorted(touched) if len(touched) > 1 else tuple(touched)
+        touched.clear()
+        nodes, rt, cached = self.nodes, self.rt, self._credit
+        ces, handing_over, busy = self._ces, self._handing_over, self._busy
+        states = []
+        for k in order:
+            st = nodes[k]
+            states.append(st)
+            credit, old = st.local_credit(), cached[k]
+            # local_credit returns the hold itself when the other books
+            # are empty, so identity settles most unchanged nodes.
+            if credit is not old and credit != old:
+                self._held += credit - old
+                cached[k] = credit
+            if st.is_ce():
+                ces.add(k)
+            else:
+                ces.discard(k)
+            if st.pending and _handing_over(st):
+                handing_over.add(k)
+            else:
+                handing_over.discard(k)
+            if _busy(st, rt[k]):
+                busy.add(k)
+            else:
+                busy.discard(k)
         checker.assert_conservation(
             self._held, self.inflight, self.scn.credit_total, self.now
         )
         # The state invariant is per node, so an untouched node still
         # satisfies it.
-        checker.assert_state_invariant({k: self.nodes[k] for k in touched})
+        checker.assert_state_invariant(states)
         checker.assert_single_ce(
-            {k: self.nodes[k] for k in self._ces},
+            map(nodes.__getitem__, ces),
             started=self.started,
-            window_open=self.inflight_handover > 0 or bool(self._handing_over),
+            window_open=self.inflight_handover > 0 or bool(handing_over),
         )
-        self._tree.update(touched)
-        self.height_max = max(self.height_max, self._tree.height)
+        if self._tree.update(order):
+            height = self._tree.height
+            if height > self.height_max:
+                self.height_max = height
         # The omniscient termination instant: the moment the last busy
         # condition cleared.  Busy means a node still computing or an
         # activating message on the air; a settled executive watching its
         # books is active in protocol terms but not computing.  The event
         # that ends the final busy stretch is itself that instant, hence
         # the one-event lookback.
-        busy = self.inflight_coms > 0 or bool(self._busy)
-        if busy or self._was_busy:
+        now_busy = self.inflight_coms > 0 or bool(busy)
+        if now_busy or self._was_busy:
             self.last_activity = self.now
-        self._was_busy = busy
-
-    def _refresh(self):
-        """Bring the checker caches up to date for every touched node."""
-        for k in self._touched:
-            st, rt = self.nodes[k], self.rt[k]
-            credit, old = st.local_credit(), self._credit[k]
-            # local_credit returns the hold itself when the other books
-            # are empty, so identity settles most unchanged nodes.
-            if credit is not old and credit != old:
-                self._held += credit - old
-                self._credit[k] = credit
-            _mark(self._ces, k, st.is_ce())
-            _mark(self._handing_over, k, _handing_over(st))
-            _mark(self._busy, k, _busy(st, rt))
-        self._touched.clear()
+        self._was_busy = now_busy
 
     def full_check(self):
         """Recompute every per-event figure from the raw node states.
@@ -645,9 +689,9 @@ class Engine:
         checker.assert_conservation(
             fresh["held"], self.inflight, self.scn.credit_total, self.now
         )
-        checker.assert_state_invariant(self.nodes)
+        checker.assert_state_invariant(nodes)
         checker.assert_single_ce(
-            self.nodes,
+            nodes,
             started=self.started,
             window_open=self.inflight_handover > 0 or bool(fresh["handovers"]),
         )
@@ -700,13 +744,6 @@ class Engine:
             "N_leave": leaves,
             "N_affected": self.peak_dark,
         }
-
-
-def _mark(members: set[NodeId], nid: NodeId, member: bool):
-    if member:
-        members.add(nid)
-    else:
-        members.discard(nid)
 
 
 def _handing_over(st: NodeState) -> bool:

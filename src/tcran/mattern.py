@@ -25,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .credit import ZERO, Credit, credit_sum, render_credit
+from .errors import SafetyViolation
 from .scenario import Scenario
 
 # Same tie-break classes as the main engine: world < messages < work.
@@ -157,7 +158,11 @@ def run_reference(scn: Scenario, seed: int) -> ReferenceReport:
             last_activity = now
         was_busy = busy
 
-    assert pot == total, f"credit leaked: recovered {render_credit(pot)}"
+    if pot != total:
+        raise SafetyViolation(
+            f"credit leaked: recovered {render_credit(pot)} of "
+            f"{render_credit(total)}"
+        )
     return ReferenceReport(
         announce_time=announce_time,
         ground_truth=last_activity,

@@ -69,7 +69,7 @@ PASSIVE = "passive"
 KNOWN_MUTATIONS = ("a5-keep-inmap", "c2-skip-hold-check")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Peer:
     """The slice of a neighbor's state that guards may read.
 
@@ -83,7 +83,7 @@ class Peer:
     dark: bool  # affected or failed: unreachable
 
 
-@dataclass
+@dataclass(slots=True)
 class Ctx:
     """Per-event environment the simulator provides to a transition."""
 
@@ -97,21 +97,21 @@ class Ctx:
     mutations: frozenset[str] = frozenset()  # names from KNOWN_MUTATIONS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Send:
     dst: NodeId | None  # None: to the chief-executive role, resolved at delivery
     msg: Message
     bucket: str  # counter bucket ("ImPC", "retry", "special", ...)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Timer:
     kind: str  # "ack-timeout" | "aack-timeout" | "weak-deadline"
     deadline: float
     parcel: Parcel | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Out:
     """Everything a transition asks of the simulator."""
 
@@ -131,7 +131,7 @@ class Out:
         self.notes.extend(other.notes)
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingSurrender:
     """Sender-side handshake record for one in-flight ImPC parcel.
 
@@ -144,7 +144,7 @@ class PendingSurrender:
     returned: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class AwaitedParcel:
     """Receiver-side record: absorbed credit still awaiting its AAcK."""
 
@@ -152,7 +152,7 @@ class AwaitedParcel:
     amount: Credit
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeState:
     """One node's complete protocol state (data-structure table plus the
     handshake, ledger, and bookkeeping the wire protocol needs)."""

@@ -124,14 +124,15 @@ class Scenario:
                 raise ValidationError(
                     f"edge {a}-{b}: endpoints share no channel at start"
                 )
-        adj = self.adjacency()
+        # A grant must follow an edge.  Looked up in the edge set: only
+        # the engine needs the adjacency map, and it builds its own.
+        edges = self.edges
         for nid, entries in sorted(self.plan.items()):
             if nid not in nodes:
                 raise ValidationError(f"plan for unknown node {nid}")
-            nbrs = adj[nid]
             seen: set[NodeId] = set()
             for target, share in entries:
-                if target not in nbrs:
+                if (nid, target) not in edges and (target, nid) not in edges:
                     raise ValidationError(
                         f"node {nid} plans a grant to non-neighbor {target}"
                     )

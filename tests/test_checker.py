@@ -153,24 +153,24 @@ def test_conservation_counts_every_pocket():
 def test_passive_node_holding_credit_is_flagged():
     bad = node(1, state=PASSIVE, hold=credit(1, 2))
     with pytest.raises(SafetyViolation, match="passive node"):
-        assert_state_invariant({1: bad})
+        assert_state_invariant([bad])
 
 
 def test_active_node_holding_nothing_is_flagged():
     with pytest.raises(SafetyViolation, match="holds nothing"):
-        assert_state_invariant({1: node(1)})
+        assert_state_invariant([node(1)])
 
 
 def test_settled_executive_may_sit_at_zero():
     boss = node(1, parent=1, settled=True)
-    assert_state_invariant({1: boss})
+    assert_state_invariant([boss])
 
 
 def test_single_executive_rule():
-    two = {1: node(1, parent=1, hold=ONE), 2: node(2, parent=2, hold=ONE)}
+    two = [node(1, parent=1, hold=ONE), node(2, parent=2, hold=ONE)]
     with pytest.raises(SafetyViolation, match="multiple chief executives"):
         assert_single_ce(two, started=True, window_open=False)
-    none = {1: node(1, parent=2, hold=ONE)}
+    none = [node(1, parent=2, hold=ONE)]
     with pytest.raises(SafetyViolation, match="no chief executive"):
         assert_single_ce(none, started=True, window_open=False)
     assert_single_ce(none, started=True, window_open=True)  # handover in flight
