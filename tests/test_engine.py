@@ -1,12 +1,15 @@
 """Whole-run engine behavior: committed scenarios, determinism, message
 reordering, darkness handling, and fault injection."""
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 
-from tcran.core import COM, ImP, TM
+from tcran import checker
+from tcran.core import COM, ImP, NaP, TM
 from tcran.credit import ZERO, Credit, credit
 from tcran.engine import Engine, run_scenario
 from tcran.errors import HorizonExceeded, SafetyViolation
@@ -290,6 +293,75 @@ def test_moved_claim_on_a_reactivated_node_is_cancelled():
     rep, trace = run_scenario(scn, 4)
     assert rep.terminated == "strong"
     assert any("claim-cancel->" in ln for ln in trace)
+
+
+def test_second_announcement_is_a_safety_violation():
+    # An executive that forgets it spoke must not speak again: a NaP
+    # makes it re-check its books, which are still complete.
+    eng = finished_engine()
+    mode, _, boss = eng.announce
+    eng.nodes[boss].terminated = None
+    eng.inject(eng.now + 1, boss, None, NaP(boss))
+    with pytest.raises(SafetyViolation, match=f"node {boss} announced {mode} after"):
+        eng.run()
+
+
+def test_two_executives_at_role_delivery_are_a_safety_violation():
+    # A second node takes the role in the event before a role-addressed
+    # message is resolved.
+    eng = finished_engine()
+    boss = eng.announce[2]
+    other = next(k for k in eng.nodes if k != boss)
+    eng.nodes[other].parent = other
+    eng._touched.add(other)
+    eng.inject(eng.now + 1, other, None, COM(ZERO))
+    with pytest.raises(SafetyViolation, match="two executives"):
+        eng.step()
+
+
+# --- the per-event checks --------------------------------------------------------
+
+
+def test_every_event_is_checked(monkeypatch):
+    calls = {}
+
+    def counting(name):
+        check = getattr(checker, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(checker, name, counted)
+
+    names = ("assert_conservation", "assert_state_invariant", "assert_single_ce")
+    for name in names:
+        counting(name)
+    runs = [(gen_random_scenario(s, n_nodes=3 + s % 28), s) for s in (17, 20, 164)]
+    runs.append((gen_random_scenario(5, n_nodes=100, failure_free=True), 5))
+    for scn, seed in runs:
+        calls.update(dict.fromkeys(names, 0))
+        report, _ = run_scenario(scn, seed, collect_trace=False)
+        assert report.events_processed > 0
+        assert calls == dict.fromkeys(names, report.events_processed), seed
+
+
+def test_an_engine_is_freed_without_the_cyclic_collector():
+    # Nothing the engine keeps may hold one of its bound methods: that
+    # would make a cycle, and only the cyclic collector could free it.
+    runs = [(golden("sec6"), 1), (gen_random_scenario(17, n_nodes=20), 17)]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for scn, seed in runs:
+            eng = Engine(scn, seed)
+            eng.run()
+            ref = weakref.ref(eng)
+            del eng
+            assert ref() is None, seed
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # --- mutations and the horizon ------------------------------------------------

@@ -5,12 +5,14 @@ collector (no surrender tree, no spectrum awareness).  Its announcement is a
 second, independently derived opinion on when the computation went quiet.
 """
 
+import heapq
 from pathlib import Path
 
 import pytest
 
+from tcran import mattern
 from tcran.engine import run_scenario
-from tcran.errors import ParseError
+from tcran.errors import ParseError, SafetyViolation
 from tcran.mattern import run_reference
 from tcran.scenario import gen_random_scenario, load_scenario
 
@@ -64,3 +66,29 @@ def test_reference_counts_traffic():
     ref = run_reference(scn, 3)
     # one return per activation, minus the collector's own pot
     assert ref.coms >= ref.returns > 0
+
+
+class _LossyHeap:
+    """heapq, except that the first credit return pushed is lost."""
+
+    heappop = staticmethod(heapq.heappop)
+
+    def __init__(self):
+        self.lost = 0
+
+    def heappush(self, queue, item):
+        _at, _cls, _seq, kind, _payload = item
+        if kind == "ret" and not self.lost:
+            self.lost += 1
+            return
+        heapq.heappush(queue, item)
+
+
+def test_reference_reports_a_credit_leak(monkeypatch):
+    # Credit recovery assumes no message is lost; a lost return leaves
+    # the pot short, and the run must say so rather than report.
+    lossy = _LossyHeap()
+    monkeypatch.setattr(mattern, "heapq", lossy)
+    with pytest.raises(SafetyViolation, match="credit leaked: recovered 3/5 of 1"):
+        run_reference(load_scenario((GOLDENS / "sec6.scn").read_text()), 1)
+    assert lossy.lost == 1
