@@ -21,7 +21,7 @@ class ChannelWorld:
     gcs: frozenset[ChannelId]
     lcs: dict[NodeId, set[ChannelId]]
     tuned: dict[NodeId, ChannelId]
-    original: dict[NodeId, frozenset[ChannelId]] = field(default_factory=dict)
+    original: dict[NodeId, frozenset[ChannelId]] = field(init=False)
 
     def __post_init__(self):
         for nid, chans in self.lcs.items():
@@ -34,8 +34,7 @@ class ChannelWorld:
                 raise ValidationError(
                     f"node {nid}: tuned channel {self.tuned[nid]} not in LCS"
                 )
-        if not self.original:
-            self.original = {n: frozenset(c) for n, c in self.lcs.items()}
+        self.original = {n: frozenset(c) for n, c in self.lcs.items()}
 
     def affected(self, nid: NodeId) -> bool:
         return not self.lcs[nid]

@@ -76,9 +76,9 @@ def assert_state_invariant(nodes: Iterable[NodeState]):
 
 
 def assert_single_ce(nodes: Iterable[NodeState], started: bool, window_open: bool):
-    holders = sorted(n.id for n in nodes if n.is_ce())
+    holders = [n.id for n in nodes if n.is_ce()]
     if len(holders) > 1:
-        raise SafetyViolation(f"multiple chief executives: {holders}")
+        raise SafetyViolation(f"multiple chief executives: {sorted(holders)}")
     if started and not window_open and not holders:
         raise SafetyViolation("no chief executive and no handover in flight")
 

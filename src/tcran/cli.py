@@ -8,16 +8,12 @@ Exit codes are a total function of what went wrong:
     4  liveness violation (a failure-free run never announced)
     5  message-complexity bound exceeded
     6  replay produced a different event log than the recorded one
-
-``TCRAN_HORIZON`` supplies a default horizon override when ``--horizon``
-is not given.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
 from dataclasses import asdict
@@ -71,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--horizon",
         type=float,
         default=None,
-        help="simulation-time cutoff; overrides the scenario and $TCRAN_HORIZON",
+        help="simulation-time cutoff; overrides the scenario's horizon",
     )
     ap.add_argument(
         "--trace-out", metavar="PATH", help="write a replayable trace file"
@@ -103,17 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _effective_horizon(args: argparse.Namespace) -> float | None:
-    horizon = args.horizon
-    env = os.environ.get("TCRAN_HORIZON")
-    if horizon is None and env:
-        try:
-            horizon = float(env)
-        except ValueError:
-            raise ValidationError(f"TCRAN_HORIZON={env!r} is not a number") from None
-    if horizon is not None:
-        check_time("horizon", horizon)
-    return horizon
+def _checked_horizon(args: argparse.Namespace) -> float | None:
+    if args.horizon is not None:
+        check_time("horizon", args.horizon)
+    return args.horizon
 
 
 def _execute(scn, seed: int, horizon: float | None, mutations=()):
@@ -206,7 +195,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_PARSE
 
     seed = args.seed if args.seed is not None else 1
-    horizon = _effective_horizon(args)
+    horizon = _checked_horizon(args)
     report, lines, err = _execute(scn, seed, horizon, tuple(args.mutate))
 
     if args.trace_out:
@@ -232,7 +221,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         print("error: --fuzz needs N >= 1", file=sys.stderr)
         return EXIT_PARSE
     base = args.seed if args.seed is not None else 42
-    horizon = _effective_horizon(args)
+    horizon = _checked_horizon(args)
     verdicts: Counter = Counter()
     failures: list[tuple[int, str, str]] = []
 

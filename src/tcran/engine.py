@@ -41,7 +41,7 @@ import heapq
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Iterable
 
 from . import checker
 from .channels import ChannelWorld
@@ -61,11 +61,7 @@ from .core import (
     priority_class,
 )
 from .credit import Credit, ZERO, credit_sum, render_credit
-from .errors import (
-    HorizonExceeded,
-    NotChiefExecutive,
-    SafetyViolation,
-)
+from .errors import HorizonExceeded, SafetyViolation
 from . import protocol as P
 from .protocol import ACTIVE, Ctx, NodeState, Out, Peer
 from .scenario import Scenario
@@ -101,7 +97,7 @@ class _Runtime:
     work_left: float = 0.0
     work_deadline: float | None = None
     work_gen: int = 0
-    deferred: list[tuple[str, Any]] = field(default_factory=list)
+    deferred: list[tuple] = field(default_factory=list)  # timer payloads
     crashed: bool = False
 
 
@@ -395,18 +391,7 @@ class Engine:
             self._drop_dark(st, frm, msg)
             return
 
-        ctx = self._ctx(dst)
-        try:
-            out = self._dispatch(st, frm, msg, ctx)
-        except NotChiefExecutive as e:
-            cargo = msg.carried_credit()
-            if cargo != ZERO:
-                st.stranded = st.stranded + cargo
-            self.counters["anomaly"] += 1
-            self.anomalies.append(f"t={self.now:g} {type(e).__name__}: {e}")
-            if self.collect_trace:
-                self._trace(dst, "rejected", f"{msg.describe()} from {frm}")
-            return
+        out = self._dispatch(st, frm, msg, self._ctx(dst))
         kind = type(msg)
         activated_now = (
             kind is COM and st.state == ACTIVE and "activated" in out.notes
@@ -414,9 +399,7 @@ class Engine:
         detail = f"{msg.describe()} from {frm}" if self.collect_trace else ""
         self._apply(dst, out, detail)
         if activated_now:
-            if not st.distributed and self.scn.plan.get(dst):
-                self._run_plan(dst)
-            self._schedule_work(dst)
+            self._activate(dst)
         elif kind is AAcK and not st.awaiting:
             # The deferred-idle rule: the last settlement confirmation
             # may be what the finished workload was waiting on.
@@ -452,9 +435,15 @@ class Engine:
         if tracing:
             self._trace(st.id, "drop", f"{msg.describe()} from {frm} (dark)")
 
+    def _activate(self, nid: NodeId):
+        """A node just became active: fan out its plan once, then work."""
+        if not self.nodes[nid].distributed and self.scn.plan.get(nid):
+            self._run_plan(nid)
+        self._schedule_work(nid)
+
     def _run_plan(self, nid: NodeId):
         st = self.nodes[nid]
-        plan = [(t, c) for t, c in self.scn.plan.get(nid, ())]
+        plan = self.scn.plan[nid]
         st.distributed = True
         shares = credit_sum(c for _, c in plan)
         if shares >= st.hold:
@@ -473,8 +462,7 @@ class Engine:
         st.dark = True
         self._n_dark += 1
         self.peak_dark = max(self.peak_dark, self._n_dark)
-        if not self.scn.work_while_dark:
-            self._freeze_work(nid)
+        self._freeze_work(nid)
         self._trace(nid, "dark", why)
         for j in sorted(st.neighbors):
             self._push(
@@ -495,10 +483,10 @@ class Engine:
         self._trace(nid, "recovered", "")
         out = P.on_recovery(st, self._ctx(nid))
         self._apply(nid, out, "back on air")
-        for kind, payload in rt.deferred:
-            self._push(self.now, CLS_TIMER, kind, payload)
+        for payload in rt.deferred:
+            self._push(self.now, CLS_TIMER, "timer", payload)
         rt.deferred.clear()
-        if st.state == ACTIVE and not self.scn.work_while_dark:
+        if st.state == ACTIVE:
             if rt.work_left > 0.0:
                 self._schedule_work(nid)
             else:
@@ -549,16 +537,14 @@ class Engine:
             out = P.on_external_start(st, self.scn.credit_total, self._ctx(st.id))
             self.started = True
             self._apply(st.id, out, f"credit={render_credit(self.scn.credit_total)}")
-            if self.scn.plan.get(st.id):
-                self._run_plan(st.id)
-            self._schedule_work(st.id)
+            self._activate(st.id)
         elif kind == "world":
             self._world(payload[0])
         elif kind == "timer":
             nid, tkind, parcel = payload
             st = self.nodes[nid]
             if st.dark:
-                self.rt[nid].deferred.append((("timer"), (nid, tkind, parcel)))
+                self.rt[nid].deferred.append(payload)
             else:
                 ctx = self._ctx(nid)
                 if tkind == "ack-timeout":
@@ -696,14 +682,12 @@ class Engine:
             window_open=self.inflight_handover > 0 or bool(fresh["handovers"]),
         )
 
-    def run(self, strict_horizon: bool = False) -> RunReport:
+    def run(self) -> RunReport:
         horizon_hit = False
         try:
             while self.step():
                 pass
         except HorizonExceeded:
-            if strict_horizon:
-                raise
             horizon_hit = True
         return self._report(horizon_hit)
 

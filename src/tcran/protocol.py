@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable
+from typing import Callable, Sequence
 
 from .core import (
     AAcK,
@@ -190,7 +190,7 @@ class NodeState:
     # claim cancels that arrived before the claims they void (see on_imp)
     prepaid: dict[NodeId, int] = field(default_factory=dict)
 
-    distributed: bool = False  # activation-time fanout already executed
+    distributed: bool = False  # the engine ran or skipped the activation fanout
     surrenders: int = 0  # credit-surrender transitions run (N_leave term)
 
     # --- derived quantities -------------------------------------------------
@@ -287,7 +287,7 @@ def on_external_start(st: NodeState, credit_c: Credit, ctx: Ctx) -> Out:
     return Out(label="A1")
 
 
-def distribute(st: NodeState, plan: list[tuple[NodeId, Credit]], ctx: Ctx) -> Out:
+def distribute(st: NodeState, plan: Sequence[tuple[NodeId, Credit]], ctx: Ctx) -> Out:
     """A2: split off shares to neighbors; must retain a positive hold."""
     out = Out(label="A2")
     if st.state != ACTIVE:
@@ -302,7 +302,6 @@ def distribute(st: NodeState, plan: list[tuple[NodeId, Credit]], ctx: Ctx) -> Ou
         st.hold = st.hold - share
         st.out_map[target] = st.out_map.get(target, ZERO) + share
         out.send(target, COM(share))
-    st.distributed = True
     return out
 
 

@@ -37,6 +37,12 @@ bracketed sections:
     at 4 pu-appear 5
     at 70 pu-disappear 5
 
+The `[params]` section takes eight keys, each at most once: `credit`
+(the total, default 1), `t_e`, `weak-wait`, `d-detect`, `d-ack`,
+`delay` (one time, or a `lo..hi` range to draw from), `horizon` and
+`choice` (`lowest` or `random`).  An absent key keeps the `Scenario`
+default; an unknown or repeated key is a ParseError.
+
 `load_scenario(render_scenario(s))` reproduces `s` exactly; traces embed
 the rendered text so replays are self-contained.
 """
@@ -46,7 +52,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Any, Iterable
 
 from .core import ChannelId, NodeId
 from .credit import Credit, ZERO, credit, credit_sum, parse_credit, render_credit, split_credit
@@ -95,7 +101,6 @@ class Scenario:
     delay: tuple[float, float] = (1.0, 1.0)
     horizon: float | None = None
     choice: str = "lowest"
-    work_while_dark: bool = False
 
     def nodes(self) -> list[NodeId]:
         return sorted(self.lcs)
@@ -207,9 +212,31 @@ def _credit(text: str, lineno: int) -> Credit:
         raise ParseError(str(e), lineno) from None
 
 
+def _delay(text: str, lineno: int) -> tuple[float, float]:
+    lo, sep, hi = text.partition("..")
+    low = _float(lo, lineno)
+    return low, (_float(hi, lineno) if sep else low)
+
+
+def _word(text: str, lineno: int) -> str:
+    return text
+
+
+# [params] key -> (Scenario field, parser of the value text).
+_PARAMS = {
+    "credit": ("credit_total", _credit),
+    "t_e": ("t_e", _float),
+    "weak-wait": ("weak_wait", _float),
+    "d-detect": ("d_detect", _float),
+    "d-ack": ("d_ack", _float),
+    "delay": ("delay", _delay),
+    "horizon": ("horizon", _float),
+    "choice": ("choice", _word),
+}
+
+
 def load_scenario(text: str) -> Scenario:
-    params: dict[str, str] = {}
-    param_lines: dict[str, int] = {}
+    params: dict[str, Any] = {}
     channels: set[int] = set()
     lcs: dict[int, frozenset[int]] = {}
     tuned: dict[int, int] = {}
@@ -251,8 +278,13 @@ def load_scenario(text: str) -> Scenario:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ParseError("expected key = value", lineno)
-            params[key.strip()] = value.strip()
-            param_lines[key.strip()] = lineno
+            key = key.strip()
+            if key not in _PARAMS:
+                raise ParseError(f"unknown parameter {key!r}", lineno)
+            name, parse = _PARAMS[key]
+            if name in params:
+                raise ParseError(f"parameter {key!r} given twice", lineno)
+            params[name] = parse(value.strip(), lineno)
         elif section == "channels":
             channels.update(_int(tok, lineno) for tok in line.split())
         elif section == "nodes":
@@ -321,28 +353,8 @@ def load_scenario(text: str) -> Scenario:
     if not lcs:
         raise ParseError("missing [nodes] section", 1)
 
-    def fparam(key: str, default: float) -> float:
-        if key not in params:
-            return default
-        return _float(params[key], param_lines[key])
-
-    delay_lo, delay_hi = 1.0, 1.0
-    if "delay" in params:
-        txt = params["delay"]
-        lo, sep, hi = txt.partition("..")
-        delay_lo = _float(lo, param_lines["delay"])
-        delay_hi = _float(hi, param_lines["delay"]) if sep else delay_lo
-
-    horizon = None
-    if "horizon" in params:
-        horizon = _float(params["horizon"], param_lines["horizon"])
-
     scn = Scenario(
-        credit_total=(
-            _credit(params["credit"], param_lines["credit"])
-            if "credit" in params
-            else credit(1)
-        ),
+        credit_total=params.pop("credit_total", credit(1)),
         channels=frozenset(channels),
         lcs=lcs,
         tuned=tuned,
@@ -352,14 +364,7 @@ def load_scenario(text: str) -> Scenario:
         workload=workload,
         plan=plan,
         events=tuple(sorted(events, key=lambda e: (e.at, e.kind, e.arg))),
-        t_e=fparam("t_e", 5.0),
-        weak_wait=fparam("weak-wait", 50.0),
-        d_detect=fparam("d-detect", 1.0),
-        d_ack=fparam("d-ack", 0.5),
-        delay=(delay_lo, delay_hi),
-        horizon=horizon,
-        choice=params.get("choice", "lowest"),
-        work_while_dark=params.get("work-while-dark", "no") == "yes",
+        **params,
     )
     return scn.validate()
 
@@ -385,8 +390,6 @@ def render_scenario(s: Scenario) -> str:
     if s.horizon is not None:
         lines.append(f"horizon = {_num(s.horizon)}")
     lines.append(f"choice = {s.choice}")
-    if s.work_while_dark:
-        lines.append("work-while-dark = yes")
     lines += ["", "[channels]", " ".join(str(c) for c in sorted(s.channels))]
     lines += ["", "[nodes]"]
     for nid in s.nodes():
@@ -420,9 +423,6 @@ def render_scenario(s: Scenario) -> str:
 def gen_random_scenario(
     seed: int,
     n_nodes: int = 6,
-    g_channels: int = 4,
-    pu_rate: float = 0.3,
-    fail_rate: float = 0.2,
     failure_free: bool = False,
 ) -> Scenario:
     """Build a valid random scenario, deterministically from the seed.
@@ -436,7 +436,7 @@ def gen_random_scenario(
     rng = random.Random(seed)
     n_nodes = max(2, n_nodes)
     nodes = list(range(1, n_nodes + 1))
-    chans = list(range(1, max(2, g_channels) + 1))
+    chans = [1, 2, 3, 4]
     common = rng.choice(chans)
 
     lcs = {}
@@ -511,7 +511,7 @@ def gen_random_scenario(
     events: list[Event] = []
     if not failure_free:
         t = 0.0
-        if rng.random() < pu_rate:
+        if rng.random() < 0.3:
             ch = rng.choice(chans)
             t = round(rng.uniform(1.0, 20.0), 1)
             events.append(Event(t, "pu-appear", ch))
@@ -519,7 +519,7 @@ def gen_random_scenario(
                 events.append(
                     Event(round(t + rng.uniform(5.0, 40.0), 1), "pu-disappear", ch)
                 )
-        if rng.random() < fail_rate:
+        if rng.random() < 0.2:
             victim = rng.choice([n for n in nodes if n != start_node])
             t0 = round(rng.uniform(1.0, 25.0), 1)
             if rng.random() < 0.3:

@@ -67,6 +67,15 @@ def test_malformed_scenario_reports_its_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_misspelled_param_exits_2_with_its_line(tmp_path, capsys):
+    text = Path(SEC6).read_text()
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text.replace("weak-wait = 50", "weak_wait = 7"))
+    line = text.splitlines().index("weak-wait = 50") + 1
+    assert run_cli("--scenario", str(bad)) == 2
+    assert f"line {line}: unknown parameter 'weak_wait'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "old, new, flags",
     [
@@ -140,22 +149,14 @@ def test_bounds_verdict_maps_to_exit_5(monkeypatch, capsys):
 # --- horizon plumbing ---------------------------------------------------------------
 
 
-def test_env_horizon_is_honored(monkeypatch, capsys):
-    monkeypatch.setenv("TCRAN_HORIZON", "3")
-    assert run_cli("--scenario", SEC6) == 4
+def test_horizon_flag_overrides_the_scenario(tmp_path, capsys):
+    # sec6 sets horizon = 100 and announces at t=14.5.
+    assert run_cli("--scenario", SEC6, "--horizon", "3") == 4
     assert "horizon reached" in capsys.readouterr().out
-
-
-def test_flag_beats_env_horizon(monkeypatch, capsys):
-    monkeypatch.setenv("TCRAN_HORIZON", "3")
-    assert run_cli("--scenario", SEC6, "--horizon", "100") == 0
+    short = tmp_path / "short.scn"
+    short.write_text(Path(SEC6).read_text().replace("horizon = 100", "horizon = 3"))
+    assert run_cli("--scenario", str(short), "--horizon", "100") == 0
     assert "strong by node 2" in capsys.readouterr().out
-
-
-def test_unreadable_env_horizon_is_a_parse_error(monkeypatch, capsys):
-    monkeypatch.setenv("TCRAN_HORIZON", "soon")
-    assert run_cli("--scenario", SEC6) == 2
-    assert "TCRAN_HORIZON" in capsys.readouterr().err
 
 
 # --- traces and replay ----------------------------------------------------------------

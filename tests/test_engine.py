@@ -422,10 +422,13 @@ def test_horizon_cuts_the_run_and_reports_it():
     assert report.end_time == 3.0
 
 
-def test_strict_horizon_raises():
+def test_step_past_the_horizon_raises():
     eng = Engine(golden("sec6"), seed=1, horizon=3.0)
     with pytest.raises(HorizonExceeded):
-        eng.run(strict_horizon=True)
+        while eng.step():
+            pass
+    assert eng.now == 3.0
+    assert not eng.queue
 
 
 def test_credit_books_stay_exactly_credit():

@@ -7,7 +7,6 @@ stepping a corpus with a full check after every step shows that no event
 changes a node the engine did not mark as touched.
 """
 
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -40,14 +39,6 @@ def run_checked(eng: Engine):
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_goldens_agree_with_full_recompute(name, seed):
     run_checked(Engine(golden(name), seed))
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("name", ["sec6_pu", "b4_cluster"])
-def test_work_while_dark_agrees_with_full_recompute(name, seed):
-    # No workload freeze marks the node that goes dark: the mark in
-    # Engine._go_dark alone must cover it.
-    run_checked(Engine(replace(golden(name), work_while_dark=True), seed))
 
 
 @pytest.mark.parametrize("seed", REGRESSION_SEEDS)

@@ -1,10 +1,13 @@
 """Scenario text format: parse/render round-trips and validation."""
 
+from dataclasses import replace
+
 import pytest
 
 from tcran.credit import credit
 from tcran.errors import ParseError, ValidationError
 from tcran.scenario import (
+    _PARAMS,
     Event,
     Scenario,
     gen_random_scenario,
@@ -50,7 +53,6 @@ def test_minimal_scenario_parses_with_defaults():
     assert s.delay == (1.0, 1.0)
     assert s.horizon is None
     assert s.choice == "lowest"
-    assert not s.work_while_dark
     assert s.nodes() == [1, 2]
     assert s.adjacency()[1] == frozenset({2})
 
@@ -58,6 +60,45 @@ def test_minimal_scenario_parses_with_defaults():
 def test_round_trip_is_identity_on_minimal():
     s = scn()
     assert load_scenario(render_scenario(s)) == s
+
+
+def test_every_param_round_trips_away_from_its_default():
+    values = {
+        "credit_total": credit(3, 2),
+        "t_e": 7.5,
+        "weak_wait": 40.0,
+        "d_detect": 2.0,
+        "d_ack": 0.25,
+        "delay": (0.5, 2.5),
+        "horizon": 250.0,
+        "choice": "random",
+    }
+    assert set(values) == {name for name, _ in _PARAMS.values()}
+    defaults = scn()
+    assert all(getattr(defaults, k) != v for k, v in values.items())
+    s = replace(defaults, **values)
+    text = render_scenario(s)
+    assert (
+        "[params]\ncredit = 3/2\nt_e = 7.5\nweak-wait = 40\nd-detect = 2\n"
+        "d-ack = 0.25\ndelay = 0.5..2.5\nhorizon = 250\nchoice = random\n"
+    ) in text
+    assert load_scenario(text) == s
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ("weak_wait = 7", "unknown parameter 'weak_wait'"),
+        ("t_e = 4\nt_e = 6", "parameter 't_e' given twice"),
+        ("work-while-dark = yes", "unknown parameter 'work-while-dark'"),
+    ],
+)
+def test_unknown_or_repeated_param_is_rejected_at_its_line(params, message):
+    text = MINIMAL.replace("[channels]", f"[params]\n{params}\n\n[channels]")
+    bad_line = text.splitlines().index(params.splitlines()[-1]) + 1
+    with pytest.raises(ParseError, match=message) as e:
+        load_scenario(text)
+    assert e.value.line == bad_line
 
 
 @pytest.mark.parametrize("seed", range(40))
