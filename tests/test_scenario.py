@@ -78,10 +78,18 @@ def test_every_param_round_trips_away_from_its_default():
     assert all(getattr(defaults, k) != v for k, v in values.items())
     s = replace(defaults, **values)
     text = render_scenario(s)
-    assert (
-        "[params]\ncredit = 3/2\nt_e = 7.5\nweak-wait = 40\nd-detect = 2\n"
-        "d-ack = 0.25\ndelay = 0.5..2.5\nhorizon = 250\nchoice = random\n"
-    ) in text
+    block = [
+        "credit = 3/2",
+        "t_e = 7.5",
+        "weak-wait = 40",
+        "d-detect = 2",
+        "d-ack = 0.25",
+        "delay = 0.5..2.5",
+        "horizon = 250",
+        "choice = random",
+    ]
+    assert "\n".join(["[params]", *block, ""]) in text
+    assert [line.split(" = ")[0] for line in block] == list(_PARAMS)
     assert load_scenario(text) == s
 
 
