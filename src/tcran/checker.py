@@ -63,14 +63,15 @@ def assert_conservation(held: Credit, inflight: Credit, total: Credit, when: flo
 
 def assert_state_invariant(nodes: Iterable[NodeState]):
     for n in nodes:
-        # Truthiness is the cheapest exact zero test on a Credit.
-        if n.state == PASSIVE and n.hold:
+        # The numerator slot is the cheapest exact zero test on a Credit:
+        # truthiness would call Fraction.__bool__.
+        if n.state == PASSIVE and n.hold._numerator:
             raise SafetyViolation(f"passive node {n.id} holds {render_credit(n.hold)}")
         if (
             n.state == ACTIVE
             and not n.settled
             and n.terminated is None
-            and not n.hold
+            and not n.hold._numerator
         ):
             raise SafetyViolation(f"computing node {n.id} holds nothing")
 

@@ -25,14 +25,17 @@ Engine.full_check recomputes every figure from the raw node states and
 demands that the caches agree.
 
 Every event pays the engine's fixed cost, so the per-event path keeps
-three rules.  Trace text (message descriptions, notes, node snapshots)
-is built only when the engine collects a trace.  Nothing the engine
-keeps holds one of its bound methods: a Ctx is built per handler call
-and dropped with it, so an engine is freed by reference counting alone,
-without waiting for the cyclic collector.  The checker is called
-through the module, as checker.<fn>, once per event, and protocol
-handlers are looked up on the module per delivery, so a wrapper
-installed on either module sees every call.
+four rules.  Trace text (message descriptions, notes, node snapshots)
+is built only when the engine collects a trace.  Nothing is built per
+event that the engine can keep: there is one Ctx per engine, and a
+handler call only sets its clock and its current node.  Nothing the
+engine keeps reaches the engine: the Ctx's callables close over the
+node map, the choice counter and a one-slot cell for the current node,
+never over the engine or one of its bound methods, so an engine is
+freed by reference counting alone, without waiting for the cyclic
+collector.  The checker is called through the module, as checker.<fn>,
+once per event, and protocol handlers are looked up on the module per
+delivery, so a wrapper installed on either module sees every call.
 """
 
 from __future__ import annotations
@@ -173,6 +176,10 @@ class Engine:
         self.events_processed = 0
         self._delay_n: Counter = Counter()
         self._choice_n: Counter = Counter()
+        self._current: list[NodeId | None] = [None]  # the node _ctx serves
+        self._shared_ctx = _context(
+            scn, seed, self.nodes, self.mutations, self._choice_n, self._current
+        )
 
         # Checker caches, kept current for the nodes in _touched by
         # _post_event after every event.  A fresh node is passive and holds
@@ -201,11 +208,11 @@ class Engine:
         kind = type(msg)
         if kind is AcK or kind is AAcK:
             return self.scn.d_ack
-        stream = "b" if kind is COM else "c"
-        n = self._delay_n[(src, dst, stream)] = self._delay_n[(src, dst, stream)] + 1
         lo, hi = self.scn.delay
         if lo == hi:
             return lo  # a fixed delay needs no draw
+        stream = "b" if kind is COM else "c"
+        n = self._delay_n[(src, dst, stream)] = self._delay_n[(src, dst, stream)] + 1
         rng = random.Random(f"{self.seed}|delay|{src}|{dst}|{stream}|{n}")
         return rng.uniform(lo, hi)
 
@@ -218,7 +225,9 @@ class Engine:
         else:
             # Role-addressed messages resolve at delivery; charge the
             # delay as if sent to the current executive when one exists.
-            probe = dst if dst is not None else (self._find_ce() or frm)
+            probe = dst if dst is not None else self._find_ce()
+            if probe is None:  # not `or`: node 0 may hold the role
+                probe = frm
             at = self.now + self._delay_for(frm, probe, msg)
             cls = CLS_ACK if priority_class(msg) == 0 else CLS_MSG
         self._launch(at, cls, dst, frm, msg)
@@ -236,7 +245,9 @@ class Engine:
     def _count_in_flight(self, msg: Message, sign: int):
         """A message is in flight from its launch until its delivery."""
         cargo = msg.carried_credit()
-        if cargo:
+        # The numerator slot is an exact zero test with no Python-level
+        # call, unlike Fraction.__bool__.
+        if cargo._numerator:
             # Add or subtract rather than multiply: int * Credit is a
             # plain Fraction, which every later add would have to convert.
             if sign > 0:
@@ -262,38 +273,12 @@ class Engine:
             )
         return holders[0] if holders else None
 
-    def _peer(self, k: NodeId) -> Peer:
-        n = self.nodes[k]
-        return Peer(active=n.state == ACTIVE, parent=n.parent, dark=n.dark)
-
-    def _active_peers(self, me: NodeId) -> list[NodeId]:
-        return sorted(
-            n.id
-            for n in self.nodes.values()
-            if n.state == ACTIVE and not n.dark and n.id != me
-        )
-
-    def _choose(self, me: NodeId):
-        def pick(xs: list[NodeId]) -> NodeId:
-            if self.scn.choice == "lowest":
-                return min(xs)
-            n = self._choice_n[me] = self._choice_n[me] + 1
-            return random.Random(f"{self.seed}|choice|{me}|{n}").choice(sorted(xs))
-
-        return pick
-
     def _ctx(self, me: NodeId) -> Ctx:
         self._touched.add(me)  # the handler given this context edits `me`
-        return Ctx(
-            now=self.now,
-            total_credit=self.scn.credit_total,
-            t_e=self.scn.t_e,
-            weak_wait=self.scn.weak_wait,
-            view=self._peer,
-            active_peers=self._active_peers,
-            choose=self._choose(me),
-            mutations=self.mutations,
-        )
+        self._current[0] = me
+        ctx = self._shared_ctx
+        ctx.now = self.now
+        return ctx
 
     # --- tracing ----------------------------------------------------------------
 
@@ -337,9 +322,10 @@ class Engine:
             self.last_activity,
         )
         self._trace(nid, "announce", mode)
+        tm = TM(mode)  # immutable, so every send can carry the one object
         for other in self.scn.nodes():
             if other != nid:
-                self._enqueue_send(nid, P.Send(other, TM(mode), "TM"))
+                self._enqueue_send(nid, P.Send(other, tm, "TM"))
 
     # --- workload ------------------------------------------------------------------
 
@@ -728,6 +714,51 @@ class Engine:
             "N_leave": leaves,
             "N_affected": self.peak_dark,
         }
+
+
+def _context(
+    scn: Scenario,
+    seed: int,
+    nodes: dict[NodeId, NodeState],
+    mutations: frozenset[str],
+    choice_n: Counter,
+    current: list[NodeId | None],
+) -> Ctx:
+    """The one Ctx an engine hands its handlers.
+
+    Its callables close over the node map, the choice counter and the
+    current-node cell, never over the engine, so keeping the Ctx on the
+    engine makes no reference cycle.
+    """
+
+    def view(k: NodeId) -> Peer:
+        n = nodes[k]
+        return Peer(active=n.state == ACTIVE, parent=n.parent, dark=n.dark)
+
+    def active_peers(me: NodeId) -> list[NodeId]:
+        return sorted(
+            n.id
+            for n in nodes.values()
+            if n.state == ACTIVE and not n.dark and n.id != me
+        )
+
+    def choose(xs: list[NodeId]) -> NodeId:
+        if scn.choice == "lowest":
+            return min(xs)
+        me = current[0]
+        n = choice_n[me] = choice_n[me] + 1
+        return random.Random(f"{seed}|choice|{me}|{n}").choice(sorted(xs))
+
+    return Ctx(
+        now=0.0,
+        total_credit=scn.credit_total,
+        t_e=scn.t_e,
+        weak_wait=scn.weak_wait,
+        view=view,
+        active_peers=active_peers,
+        choose=choose,
+        mutations=mutations,
+    )
 
 
 def _handing_over(st: NodeState) -> bool:

@@ -69,13 +69,14 @@ PASSIVE = "passive"
 KNOWN_MUTATIONS = ("a5-keep-inmap", "c2-skip-hold-check")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Peer:
     """The slice of a neighbor's state that guards may read.
 
     The action tables freely test remote STATE(k) and parent pointers, so
-    the simulator hands transitions this read-only view instead of
-    modeling a separate state-dissemination protocol.
+    the simulator hands transitions this view instead of modeling a
+    separate state-dissemination protocol.  It is built per call and
+    never kept, so it is not frozen.
     """
 
     active: bool
@@ -97,14 +98,14 @@ class Ctx:
     mutations: frozenset[str] = frozenset()  # names from KNOWN_MUTATIONS
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Send:
     dst: NodeId | None  # None: to the chief-executive role, resolved at delivery
     msg: Message
     bucket: str  # counter bucket ("ImPC", "retry", "special", ...)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Timer:
     kind: str  # "ack-timeout" | "aack-timeout" | "weak-deadline"
     deadline: float
@@ -220,11 +221,13 @@ class NodeState:
             total = total + credit_sum(self.in_map.values())
         if self.pending:
             esc = self.escrow_total()  # zero while no parcel bounced back
-            if esc:
+            if esc._numerator:
                 total = total + esc
         if self.pu_ledger or self.reclaimable:
             total = total + self.ledger_physical()
-        if self.stranded:
+        # The numerator slot is an exact zero test with no Python-level
+        # call, unlike Fraction.__bool__.
+        if self.stranded._numerator:
             total = total + self.stranded
         return total
 
@@ -242,17 +245,17 @@ class NodeState:
         if self.in_map:
             total = credit_sum(self.in_map.values())
             parts.append(f"in={render_credit(total)}")
-        # Truthiness, not != ZERO: it is the cheapest exact zero test,
-        # and this runs for every trace line.
+        # Numerator tests, as in local_credit: this runs for every trace
+        # line.
         if self.pending:
             esc = self.escrow_total()
-            if esc:
+            if esc._numerator:
                 parts.append(f"esc={render_credit(esc)}")
         if self.pu_ledger or self.reclaimable:
             led = self.ledger_physical()
-            if led:
+            if led._numerator:
                 parts.append(f"led={render_credit(led)}")
-        if self.stranded:
+        if self.stranded._numerator:
             parts.append(f"str={render_credit(self.stranded)}")
         return ",".join(parts)
 

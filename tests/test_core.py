@@ -1,11 +1,17 @@
 """Message value objects: wire text, carried credit, delivery priority."""
 
+import dataclasses
+
+import pytest
+
+from tcran import core
 from tcran.core import (
     AAcK,
     AcK,
     COM,
     ImP,
     ImPC,
+    Message,
     NaP,
     PaN,
     SpecialForward,
@@ -85,3 +91,30 @@ def test_messages_are_hashable_values():
     b = COM(credit(1, 2))
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_every_message_class_is_immutable():
+    # Messages ride the queue and the pending books, and _announce sends
+    # one TM object to every node, so no field may change after a send.
+    samples = {
+        AcK: AcK((1, 1)),
+        AAcK: AAcK((1, 1)),
+        COM: COM(credit(1, 2)),
+        ImPC: ImPC(credit(1, 2)),
+        ImP: ImP(3),
+        TM: TM("strong"),
+        PaN: PaN(4, ZERO, ZERO),
+        NaP: NaP(4),
+        SpecialForward: SpecialForward(credit(1, 3), 2, (2, 1)),
+        SpecialReclaim: SpecialReclaim(4),
+    }
+    classes = {
+        c for c in vars(core).values()
+        if isinstance(c, type) and issubclass(c, Message) and c is not Message
+    }
+    assert classes == set(samples)
+    for msg in samples.values():
+        assert dataclasses.fields(msg), msg
+        for f in dataclasses.fields(msg):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(msg, f.name, getattr(msg, f.name))

@@ -3,13 +3,15 @@ reordering, darkness handling, and fault injection."""
 
 import gc
 import json
+import random
+import types
 import weakref
 from pathlib import Path
 
 import pytest
 
 from tcran import checker
-from tcran.core import COM, ImP, NaP, TM
+from tcran.core import COM, ImP, NaP, PaN, TM
 from tcran.credit import ZERO, Credit, credit
 from tcran.engine import Engine, run_scenario
 from tcran.errors import HorizonExceeded, SafetyViolation
@@ -364,6 +366,42 @@ def test_an_engine_is_freed_without_the_cyclic_collector():
             gc.enable()
 
 
+def _reaches(roots, target) -> bool:
+    # Everything reachable from roots by reference, short of classes and
+    # modules, which lead to everything.
+    seen, todo = set(), list(roots)
+    while todo:
+        obj = todo.pop()
+        if obj is target:
+            return True
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        todo.extend(gc.get_referents(obj))
+    return False
+
+
+def test_one_ctx_serves_every_handler_call():
+    scn = load_scenario(DARK_PARENT.replace("horizon = 100", "horizon = 100\nchoice = random"))
+    eng = Engine(scn, seed=7)
+    for _ in range(3):
+        eng.step()
+    assert eng.now > 0
+    first = eng._ctx(1)
+    ctx = eng._ctx(2)
+    assert ctx is first
+    assert ctx.now == eng.now
+    # The draw comes from node 2's choice stream, the one _ctx named last.
+    xs = list(range(50))
+    mine, other = (random.Random(f"7|choice|{k}|1").choice(xs) for k in (2, 1))
+    assert mine != other  # the streams tell the nodes apart
+    assert ctx.choose(xs) == mine
+    assert eng._choice_n == {2: 1}
+    # The callables close over the node map, never over the engine, so
+    # keeping the Ctx on the engine makes no cycle.
+    assert not _reaches([ctx.view, ctx.active_peers, ctx.choose], eng)
+
+
 # --- mutations and the horizon ------------------------------------------------
 
 
@@ -413,6 +451,58 @@ def test_role_addressed_message_waits_for_an_executive():
     assert report.counters["role-requeue"] == 15
     assert report.terminated is None
     assert not report.horizon_hit
+
+
+NODE_ZERO_EXECUTIVE = """\
+tcran-scenario v1
+
+[params]
+delay = 0.5..2
+horizon = 200
+
+[channels]
+5
+
+[nodes]
+0: 5 @5
+1: 5 @5
+2: 5 @5
+
+[topology]
+0-1
+1-2
+
+[start]
+at 0 node 0
+
+[workload]
+0: 20
+1: 20
+2: 20
+
+[plan]
+0: 1=1/2
+1: 2=1/4
+
+[events]
+at 10 fail 2
+"""
+
+
+def test_role_addressed_send_draws_toward_a_node_zero_executive(monkeypatch):
+    # Node 0 starts the run and holds the role when node 1 reports dark
+    # node 2, so the PaN's delay comes from the 1 -> 0 stream.
+    draws = []
+    delay_for = Engine._delay_for
+
+    def spy(self, src, dst, msg):
+        draws.append((src, dst, type(msg)))
+        return delay_for(self, src, dst, msg)
+
+    monkeypatch.setattr(Engine, "_delay_for", spy)
+    report, _ = run_scenario(load_scenario(NODE_ZERO_EXECUTIVE), seed=1)
+    assert [(s, d) for s, d, kind in draws if kind is PaN] == [(1, 0)]
+    assert report.terminated == "weak"
 
 
 def test_horizon_cuts_the_run_and_reports_it():
