@@ -208,8 +208,8 @@ class SpecialForward(Message):
     """Handshake-reconciliation cargo to the chief executive.
 
     Sent by a receiver whose AAcK never arrived: the absorbed parcel
-    credit is extracted from hold and shipped here, keyed by parcel so
-    the chief executive can reconcile duplicates exactly once.
+    credit is extracted from hold and shipped here.  A receiver pops the
+    awaited record as it forwards, so no parcel is forwarded twice.
     """
 
     credit: Credit = ZERO

@@ -174,7 +174,6 @@ class NodeState:
         default_factory=dict
     )  # (reporter, affected) -> (physical in-part, mirrored out-part)
     reclaimable: dict[tuple[NodeId, NodeId], Credit] = field(default_factory=dict)
-    seen_parcels: set[Parcel] = field(default_factory=set)
     nap_replied: set[NodeId] = field(default_factory=set)
     weak_deadline: float | None = None
 
@@ -568,8 +567,6 @@ def on_impc(st: NodeState, frm: NodeId, m: ImPC, ctx: Ctx) -> Out:
     st.hold = st.hold + absorbed
     st.out_map.pop(frm, None)
     for child, c in m.child_map:
-        if child == st.id:
-            continue  # a claim on myself cancels out
         if st.prepaid.get(child):
             # The final payment already came through; this claim was
             # void before it arrived.
@@ -612,11 +609,6 @@ def on_imp(st: NodeState, frm: NodeId, m: ImP, ctx: Ctx) -> Out:
     if not _live(st, out):
         return out
     if frm == st.parent:
-        if m.p == st.id:
-            # Would self-mint a root; role transfer travels only inside
-            # flagged handover parcels.
-            out.label = "imp-self-parent-discard"
-            return out
         st.parent = m.p
         # Anything the old parent lent beyond the activation grant would
         # otherwise sit here forever once it goes passive: keep it moving
@@ -627,12 +619,11 @@ def on_imp(st: NodeState, frm: NodeId, m: ImP, ctx: Ctx) -> Out:
     amount = st.in_map.pop(frm, ZERO)
     if amount == ZERO:
         # Already settled up before this arrived, possibly under a fresh
-        # activation with a different parent. The named claim holder
-        # would wait forever on a payment that went elsewhere: void the
-        # claim explicitly with an empty parcel.
-        if m.p != st.id:
-            out.send(m.p, ImPC(ZERO, (), st.next_parcel()), bucket="special")
-            out.notes.append(f"claim-cancel->{m.p}")
+        # activation with a different parent. The named claim holder (no
+        # ImP names its receiver) would wait forever on a payment that
+        # went elsewhere: void the claim explicitly with an empty parcel.
+        out.send(m.p, ImPC(ZERO, (), st.next_parcel()), bucket="special")
+        out.notes.append(f"claim-cancel->{m.p}")
         return out
     # Only an active node holds creditor entries: surrender empties them.
     st.hold = st.hold + amount
@@ -714,18 +705,12 @@ def on_aack_timeout(st: NodeState, parcel: Parcel, ctx: Ctx) -> Out:
             f"node {st.id}: awaiting extraction {render_credit(rec.amount)} "
             f"exceeds hold {render_credit(st.hold)}"
         )
-    st.hold = st.hold - rec.amount
     if st.is_ce():
-        # Forwarding to myself: keep it and remember the parcel.
-        st.hold = st.hold + rec.amount
-        st.seen_parcels.add(parcel)
+        # Forwarding to myself: the credit is already home.
         out.notes.append("self-forward")
         return out
-    out.send(
-        None,
-        SpecialForward(rec.amount, st.id, parcel),
-        bucket="special",
-    )
+    st.hold = st.hold - rec.amount
+    out.send(None, SpecialForward(rec.amount, st.id, parcel), bucket="special")
     return out
 
 
@@ -847,20 +832,14 @@ def on_nap(st: NodeState, frm: NodeId, m: NaP, ctx: Ctx) -> Out:
 
 
 def on_special(st: NodeState, frm: NodeId, m: Message, ctx: Ctx) -> Out:
-    """Chief-executive reconciliation: forwarded handshake credit counts
-    exactly once per parcel; reclaim requests get a refund COM."""
+    """Chief-executive reconciliation: forwarded handshake credit joins
+    the hold; reclaim requests get a refund COM."""
     out = Out(label="special")
     if isinstance(m, SpecialForward):
         if not _live(st, out):
             _strand_cargo(st, m.credit, out)
             return out
-        if m.parcel in st.seen_parcels:
-            # The same parcel settled through another path: net it out.
-            st.hold = st.hold - m.credit
-            out.notes.append("duplicate-netted")
-        else:
-            st.seen_parcels.add(m.parcel)
-            st.hold = st.hold + m.credit
+        st.hold = st.hold + m.credit
         out.merge(try_announce(st, ctx))
         return out
     assert isinstance(m, SpecialReclaim)
@@ -880,7 +859,8 @@ def on_special(st: NodeState, frm: NodeId, m: Message, ctx: Ctx) -> Out:
 
 
 def try_announce(st: NodeState, ctx: Ctx) -> Out:
-    """Strong first, then weak; only a settled chief executive may speak."""
+    """C2, or arm the timer whose edge alone fires C1; only a settled
+    chief executive may speak."""
     out = Out(label="announce-check")
     if not st.is_ce() or not st.settled or st.terminated is not None:
         return out
@@ -896,27 +876,22 @@ def try_announce(st: NodeState, ctx: Ctx) -> Out:
             st.terminated = STRONG
             out.label = "C2"
             out.announce = STRONG
-            return out
         return out
-    if st.hold + st.ledger_balance() == ctx.total_credit:
-        if st.weak_deadline is None:
-            st.weak_deadline = ctx.now + ctx.weak_wait
-            out.timers.append(Timer("weak-deadline", st.weak_deadline))
-            out.notes.append(f"weak-armed@{st.weak_deadline:g}")
-        elif ctx.now >= st.weak_deadline:
-            st.terminated = WEAK
-            out.label = "C1"
-            out.announce = WEAK
+    if st.weak_deadline is None and st.hold + st.ledger_balance() == ctx.total_credit:
+        st.weak_deadline = ctx.now + ctx.weak_wait
+        out.timers.append(Timer("weak-deadline", st.weak_deadline))
+        out.notes.append(f"weak-armed@{st.weak_deadline:g}")
     return out
 
 
 def on_weak_deadline(st: NodeState, ctx: Ctx) -> Out:
     """Timer edge for C1: re-verify the balance at the armed instant."""
     out = Out(label="weak-deadline")
-    if st.weak_deadline is None or ctx.now < st.weak_deadline:
-        out.label = "timer-void"
-        return out
-    if not (st.is_ce() and st.settled and st.terminated is None):
+    if (
+        st.weak_deadline is None
+        or ctx.now < st.weak_deadline
+        or not (st.is_ce() and st.settled and st.terminated is None)
+    ):
         out.label = "timer-void"
         return out
     if (

@@ -288,16 +288,12 @@ def test_impc_absorb_folds_creditor_entry():
     assert_conserved(before, n, out, carried_in=m.carried_credit())
 
 
-def test_impc_adopts_children_and_drops_self_claims():
+def test_impc_adopts_children():
     n = active(2, 1, credit(1, 10), out_map={5: credit(1, 8)})
     ctx = mkctx({2: n})
-    m = ImPC(
-        credit(1, 10),
-        ((7, credit(1, 8)), (2, credit(1, 16))),
-        (5, 1),
-    )
+    m = ImPC(credit(1, 10), ((7, credit(1, 8)),), (5, 1))
     P.on_impc(n, 5, m, ctx)
-    # sender's claim settled, child claim adopted, claim on myself dropped
+    # sender's claim settled, child claim adopted
     assert n.out_map == {7: credit(1, 8)}
 
 
@@ -395,14 +391,6 @@ def test_imp_from_borrower_returns_the_entry_to_hold():
     assert_conserved(before, n, out)
 
 
-def test_imp_naming_me_as_my_own_parent_is_discarded():
-    n = active(6, 5, credit(1, 8))
-    ctx = mkctx({6: n})
-    out = P.on_imp(n, 5, ImP(6), ctx)
-    assert out.label == "imp-self-parent-discard"
-    assert n.parent == 5
-
-
 # --- handshake ---------------------------------------------------------------
 
 
@@ -466,6 +454,14 @@ def test_aack_timeout_ships_credit_to_the_executive():
     assert len(fwd) == 1 and fwd[0].dst is None
     assert fwd[0].msg.credit == credit(1, 8)
     assert_conserved(before, n, out)
+
+
+def test_aack_timeout_at_the_executive_keeps_the_credit():
+    ce = active(1, 1, credit(1, 2))
+    ce.awaiting[(6, 2)] = P.AwaitedParcel(6, credit(1, 8))
+    out = P.on_aack_timeout(ce, (6, 2), mkctx({1: ce}))
+    assert ce.hold == credit(1, 2) and not ce.awaiting
+    assert not out.sends and out.notes == ["self-forward"]
 
 
 def test_aack_clears_the_wait():
@@ -588,15 +584,14 @@ def test_reclaim_is_refunded_with_a_flagged_com():
 # --- special forward reconciliation ------------------------------------------
 
 
-def test_duplicate_forward_is_netted_out():
+def test_forward_joins_the_executive_hold():
     ce = active(1, 1, credit(1, 2))
     ctx = mkctx({1: ce})
     m = SpecialForward(credit(1, 8), 4, (6, 2))
-    P.on_special(ce, 4, m, ctx)
-    assert ce.hold == credit(1, 2) + credit(1, 8)
+    before = ce.local_credit()
     out = P.on_special(ce, 4, m, ctx)
-    assert ce.hold == credit(1, 2)  # second copy subtracted back out
-    assert "duplicate-netted" in out.notes
+    assert ce.hold == credit(1, 2) + credit(1, 8)
+    assert_conserved(before, ce, out, carried_in=m.carried_credit())
 
 
 # --- announcements -----------------------------------------------------------

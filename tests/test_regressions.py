@@ -1,22 +1,45 @@
 """Fuzz findings, and paths fuzzing does not reach, pinned as scenarios.
 
 Each fuzz_<seed>.scn under regressions/ is a scenario that fuzzing
-found, to be run at the seed its header names.  The other files are
-built by hand for a protocol path that fuzzing never takes.  The tests
-assert the behaviour the protocol owes (strong termination).  A finding
-not yet mended is a strict xfail, so its fix shows up as a change of
-this file.
+found; the other files are built by hand, or derived from a fuzz seed
+with other timing parameters and shrunk, for a protocol path that
+fuzzing never takes.  Every header names the seed to run at.  The tests
+assert the behaviour the protocol owes.  A finding not yet mended is a
+strict xfail, so its fix shows up as a change of this file.
 """
 
+import re
 from pathlib import Path
 
 import pytest
 
 from tcran.engine import Engine, run_scenario
+from tcran.errors import SafetyViolation
 from tcran.protocol import ACTIVE
 from tcran.scenario import load_scenario
 
 REGRESSIONS = Path(__file__).resolve().parent / "regressions"
+
+
+def run_seed(text: str) -> int:
+    """The run seed a regression scenario's header names."""
+    header = " ".join(
+        line.lstrip("#").strip() for line in text.splitlines() if line.startswith("#")
+    )
+    m = re.search(r"Run with --seed (\d+)", header)
+    if m is None:
+        raise ValueError("regression scenario names no run seed")
+    return int(m.group(1))
+
+
+def _checked(name: str) -> Engine:
+    """Run a scenario at its seed, recomputing every check after each step."""
+    text = (REGRESSIONS / f"{name}.scn").read_text()
+    eng = Engine(load_scenario(text), run_seed(text))
+    while eng.step():
+        eng.full_check()
+    return eng
+
 
 def _run(seed: int):
     scn = load_scenario((REGRESSIONS / f"fuzz_{seed}.scn").read_text())
@@ -69,3 +92,63 @@ def test_executive_refunds_a_reclaim_to_a_reporter_still_active(name, filed, ref
     assert rows == filed
     assert refund in eng.trace
     assert eng.announce[0] == "strong"
+
+
+@pytest.mark.parametrize(
+    "name, mode, reached",
+    [
+        ("late_ack", "strong", [
+            "32.6718137|4|stale-ack|AcK(4.1) from 2|hold=0",
+            "50.48046631|3|post-term-discard|ImP(2) from 1|hold=0",
+        ]),
+        ("late_cargo", "weak", [
+            "14.14593633|7|post-term-discard|COM(1/4) from 12 stranded=1/4"
+            "|hold=1/2,str=1/4",
+            "30.75302811|7|post-term-discard|ImPC(1/4,b=0,parcel=12.1) from 12"
+            " stranded=1/4|hold=1/2,str=1/2",
+        ]),
+        ("late_forward", "weak", [
+            "34|3|post-term-discard|SpecialForward(1/48,from=8,parcel=4.1) from 8"
+            " stranded=1/48|hold=23/24,str=1/48",
+        ]),
+        ("nothing_reclaimable", "strong", [
+            "18|6|special|SpecialReclaim(7) from 6 nothing-reclaimable|hold=15/16",
+        ]),
+    ],
+    ids=["late_ack", "late_cargo", "late_forward", "nothing_reclaimable"],
+)
+def test_late_and_stale_messages_take_their_branch(name, mode, reached):
+    eng = _checked(name)
+    assert eng.announce[0] == mode
+    for line in reached:
+        assert line in eng.trace
+
+
+def test_a_message_at_the_weak_deadline_leaves_the_announcement_to_the_timer():
+    eng = _checked("weak_deadline_tie")
+    assert eng.announce == ("weak", 18.0, 1)
+    assert [line for line in eng.trace if line.startswith("18|1|")] == [
+        "18|1|B4|NaP(3) from 3|hold=3/4",
+        "18|1|B4|NaP(3) from 3|hold=3/4",
+        "18|1|C1|weak-deadline|hold=3/4",
+        "18|1|announce|weak|hold=3/4",
+    ]
+
+
+@pytest.mark.xfail(strict=True, raises=SafetyViolation, reason="not yet mended")
+@pytest.mark.parametrize(
+    "name, violation",
+    [
+        # The weak ledger counts a dark node's mirror as credit it holds.
+        ("fuzz_2433", "weak announced while node 1 is still active"),
+        # An ack-timeout finalizes a handover parcel still on the air.
+        ("fuzz_146", "no chief executive and no handover in flight"),
+    ],
+    ids=["fuzz_2433", "fuzz_146"],
+)
+def test_parameter_search_finding_is_safe(name, violation):
+    try:
+        _checked(name)
+    except SafetyViolation as e:
+        assert violation in str(e)  # any other violation fails outright
+        raise
