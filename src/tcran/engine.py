@@ -1,12 +1,13 @@
 """Deterministic discrete-event simulator.
 
 One Engine owns the node states, the spectrum world, and a single event
-queue ordered by (time, priority class, enqueue sequence).  Determinism
-is load-bearing: every random draw (per-message delays, tie-break
-choices) comes from its own stream seeded by run seed plus the draw's
-identity, so two runs of the same scenario and seed produce bit-identical
-traces, and the reference run in tcran.mattern sees the exact same
-message timing for the underlying computation.
+queue ordered by (time, priority class, enqueue sequence).  Each entry
+carries the Engine function that applies it.  Determinism is
+load-bearing: every random draw (per-message delays, tie-break choices)
+comes from the run's scenario.Draws, so two runs of the same scenario
+and seed produce bit-identical traces, and the reference run in
+tcran.mattern, with a Draws of its own, sees the exact same message
+timing for the underlying computation.
 
 The omniscient checker is consulted after every processed event; a run
 that breaks conservation or announces falsely dies on the spot with a
@@ -28,23 +29,22 @@ Every event pays the engine's fixed cost, so the per-event path keeps
 four rules.  Trace text (message descriptions, notes, node snapshots)
 is built only when the engine collects a trace.  Nothing is built per
 event that the engine can keep: there is one Ctx per engine, and a
-handler call only sets its clock and its current node.  Nothing the
-engine keeps reaches the engine: the Ctx's callables close over the
-node map, the choice counter and a one-slot cell for the current node,
-never over the engine or one of its bound methods, so an engine is
-freed by reference counting alone, without waiting for the cyclic
-collector.  The checker is called through the module, as checker.<fn>,
-once per event, and protocol handlers are looked up on the module per
-delivery, so a wrapper installed on either module sees every call.
+handler call only sets its clock.  Nothing the engine keeps reaches the
+engine: the Ctx's callables close over the node map and the Draws, and
+a queue entry holds a plain function, never a bound method, so an
+engine is freed by reference counting alone, without waiting for the
+cyclic collector.  The checker is called through the module, as
+checker.<fn>, once per event, and protocol handlers are looked up on
+the module per call, so a wrapper installed on either module sees
+every call.
 """
 
 from __future__ import annotations
 
 import heapq
-import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import checker
 from .channels import ChannelWorld
@@ -58,6 +58,7 @@ from .core import (
     NaP,
     NodeId,
     PaN,
+    Parcel,
     SpecialForward,
     SpecialReclaim,
     TM,
@@ -67,7 +68,7 @@ from .credit import Credit, ZERO, credit_sum, render_credit
 from .errors import HorizonExceeded, SafetyViolation
 from . import protocol as P
 from .protocol import ACTIVE, Ctx, NodeState, Out, Peer
-from .scenario import Scenario
+from .scenario import Draws, Scenario
 
 DEFAULT_HORIZON = 1000.0
 
@@ -131,7 +132,6 @@ class Engine:
         mutations: Iterable[str] = (),
     ):
         self.scn = scn
-        self.seed = seed
         self.horizon = (
             horizon
             if horizon is not None
@@ -156,7 +156,8 @@ class Engine:
             tuned=dict(scn.tuned),
         )
 
-        self.queue: list[tuple[float, int, int, str, tuple]] = []
+        # (time, class, sequence, the Engine function to apply, its args)
+        self.queue: list[tuple[float, int, int, Callable, tuple]] = []
         self.seq = 0
         self.now = 0.0
         self.counters: Counter = Counter()
@@ -174,12 +175,8 @@ class Engine:
         self.peak_dark = 0
         self._n_dark = 0
         self.events_processed = 0
-        self._delay_n: Counter = Counter()
-        self._choice_n: Counter = Counter()
-        self._current: list[NodeId | None] = [None]  # the node _ctx serves
-        self._shared_ctx = _context(
-            scn, seed, self.nodes, self.mutations, self._choice_n, self._current
-        )
+        self.draws = Draws(scn, seed)
+        self._shared_ctx = _context(scn, self.nodes, self.mutations, self.draws)
 
         # Checker caches, kept current for the nodes in _touched by
         # _post_event after every event.  A fresh node is passive and holds
@@ -192,15 +189,18 @@ class Engine:
         self._busy: set[NodeId] = set()
         self._tree = checker.TreeHeight(self.nodes)
 
-        self._push(scn.start_at, CLS_WORLD, "start", ())
+        self._push(scn.start_at, CLS_WORLD, Engine._start, ())
         for ev in scn.events:
-            self._push(ev.at, CLS_WORLD, "world", (ev,))
+            self._push(ev.at, CLS_WORLD, self._WORLD[ev.kind], (ev.arg,))
 
     # --- queue plumbing -------------------------------------------------------
 
-    def _push(self, at: float, cls: int, kind: str, payload: tuple):
+    def _push(self, at: float, cls: int, event: Callable, args: tuple):
+        # A plain function, never a bound method: an entry that held the
+        # engine would make a reference cycle.  The unique sequence number
+        # settles every tie before the function could be compared.
         self.seq += 1
-        heapq.heappush(self.queue, (at, cls, self.seq, kind, payload))
+        heapq.heappush(self.queue, (at, cls, self.seq, event, args))
 
     def _delay_for(self, src: NodeId, dst: NodeId, msg: Message) -> float:
         # Exact type tests: the message classes are final, and this runs
@@ -208,13 +208,7 @@ class Engine:
         kind = type(msg)
         if kind is AcK or kind is AAcK:
             return self.scn.d_ack
-        lo, hi = self.scn.delay
-        if lo == hi:
-            return lo  # a fixed delay needs no draw
-        stream = "b" if kind is COM else "c"
-        n = self._delay_n[(src, dst, stream)] = self._delay_n[(src, dst, stream)] + 1
-        rng = random.Random(f"{self.seed}|delay|{src}|{dst}|{stream}|{n}")
-        return rng.uniform(lo, hi)
+        return self.draws.delay(src, dst, "b" if kind is COM else "c")
 
     def _enqueue_send(self, frm: NodeId, send: P.Send):
         msg, dst = send.msg, send.dst
@@ -232,15 +226,11 @@ class Engine:
             cls = CLS_ACK if priority_class(msg) == 0 else CLS_MSG
         self._launch(at, cls, dst, frm, msg)
 
-    def inject(self, at: float, frm: NodeId, dst: NodeId | None, msg: Message):
-        """Drop an arbitrary message into the network (tests, fuzzing)."""
-        self._launch(at, CLS_MSG, dst, frm, msg)
-
     def _launch(
         self, at: float, cls: int, dst: NodeId | None, frm: NodeId, msg: Message
     ):
         self._count_in_flight(msg, 1)
-        self._push(at, cls, "deliver", (dst, frm, msg))
+        self._push(at, cls, Engine._deliver, (dst, frm, msg))
 
     def _count_in_flight(self, msg: Message, sign: int):
         """A message is in flight from its launch until its delivery."""
@@ -275,7 +265,6 @@ class Engine:
 
     def _ctx(self, me: NodeId) -> Ctx:
         self._touched.add(me)  # the handler given this context edits `me`
-        self._current[0] = me
         ctx = self._shared_ctx
         ctx.now = self.now
         return ctx
@@ -297,7 +286,7 @@ class Engine:
         for send in out.sends:
             self._enqueue_send(nid, send)
         for timer in out.timers:
-            self._push(timer.deadline, CLS_TIMER, "timer", (nid, timer.kind, timer.parcel))
+            self._push(timer.deadline, CLS_TIMER, Engine._timer, (nid, timer.kind, timer.parcel))
         if self.collect_trace:
             note = f"{detail} {';'.join(out.notes)}".strip()
             self._trace(nid, out.label or "-", note)
@@ -334,7 +323,7 @@ class Engine:
         rt = self.rt[nid]
         rt.work_gen += 1
         rt.work_deadline = self.now + rt.work_left
-        self._push(rt.work_deadline, CLS_WORK, "work", (nid, rt.work_gen))
+        self._push(rt.work_deadline, CLS_WORK, Engine._work_done, (nid, rt.work_gen))
 
     def _freeze_work(self, nid: NodeId):
         self._touched.add(nid)
@@ -367,7 +356,7 @@ class Engine:
         if dst is None:
             # Role in transit: the message stays in flight; try again shortly.
             self.counters["role-requeue"] += 1
-            self._push(self.now + self.scn.d_ack, CLS_MSG, "deliver", (None, frm, msg))
+            self._push(self.now + self.scn.d_ack, CLS_MSG, Engine._deliver, (None, frm, msg))
             return
         self._count_in_flight(msg, -1)
         self._touched.add(dst)
@@ -392,12 +381,9 @@ class Engine:
             self._maybe_idle(dst)
 
     def _dispatch(self, st: NodeState, frm: NodeId, msg: Message, ctx: Ctx) -> Out:
-        name = _HANDLERS.get(type(msg))
-        if name is None:
-            raise TypeError(f"undeliverable message {msg!r}")
         # Looked up per call, so a wrapper installed on the protocol
         # module (bench/tracing.py) sees every delivery.
-        return getattr(P, name)(st, frm, msg, ctx)
+        return getattr(P, _HANDLERS[type(msg)])(st, frm, msg, ctx)
 
     def _drop_dark(self, st: NodeState, frm: NodeId, msg: Message):
         # An escrow return edits the sender's handshake record.
@@ -451,9 +437,7 @@ class Engine:
         self._freeze_work(nid)
         self._trace(nid, "dark", why)
         for j in sorted(st.neighbors):
-            self._push(
-                self.now + self.scn.d_detect, CLS_TIMER, "detect", (j, nid)
-            )
+            self._push(self.now + self.scn.d_detect, CLS_TIMER, Engine._detect, (j, nid))
 
     def _recover(self, nid: NodeId):
         st = self.nodes[nid]
@@ -469,8 +453,8 @@ class Engine:
         self._trace(nid, "recovered", "")
         out = P.on_recovery(st, self._ctx(nid))
         self._apply(nid, out, "back on air")
-        for payload in rt.deferred:
-            self._push(self.now, CLS_TIMER, "timer", payload)
+        for args in rt.deferred:
+            self._push(self.now, CLS_TIMER, Engine._timer, args)
         rt.deferred.clear()
         if st.state == ACTIVE:
             if rt.work_left > 0.0:
@@ -478,34 +462,79 @@ class Engine:
             else:
                 self._maybe_idle(nid)
 
-    def _world(self, ev):
-        if ev.kind == "pu-appear":
-            hit, retuned = self.world.pu_appear(ev.arg)
-            self._trace("world", "pu-appear", f"ch={ev.arg} hit={hit} retuned={retuned}")
-            for nid in hit:
-                self._go_dark(nid, f"pu ch{ev.arg}")
-        elif ev.kind == "pu-disappear":
-            back = self.world.pu_disappear(ev.arg)
-            self._trace("world", "pu-disappear", f"ch={ev.arg} back={back}")
-            for nid in back:
-                self._recover(nid)
-        elif ev.kind == "fail":
-            self._go_dark(ev.arg, "failure")
-        elif ev.kind == "recover":
-            self._recover(ev.arg)
-        elif ev.kind == "crash":
-            self._go_dark(ev.arg, "crash")
-            self.rt[ev.arg].crashed = True
-        else:
-            raise AssertionError(f"unknown world event {ev.kind}")
+    def _pu_appear(self, ch: int):
+        hit, retuned = self.world.pu_appear(ch)
+        self._trace("world", "pu-appear", f"ch={ch} hit={hit} retuned={retuned}")
+        for nid in hit:
+            self._go_dark(nid, f"pu ch{ch}")
+
+    def _pu_disappear(self, ch: int):
+        back = self.world.pu_disappear(ch)
+        self._trace("world", "pu-disappear", f"ch={ch} back={back}")
+        for nid in back:
+            self._recover(nid)
+
+    def _fail(self, nid: NodeId):
+        self._go_dark(nid, "failure")
+
+    def _crash(self, nid: NodeId):
+        self._go_dark(nid, "crash")
+        self.rt[nid].crashed = True
+
+    # Scenario event kind -> the function that applies it to its argument.
+    _WORLD = {
+        "pu-appear": _pu_appear,
+        "pu-disappear": _pu_disappear,
+        "fail": _fail,
+        "recover": _recover,
+        "crash": _crash,
+    }
 
     # --- the loop ------------------------------------------------------------------
+
+    def _start(self):
+        st = self.nodes[self.scn.start_node]
+        out = P.on_external_start(st, self.scn.credit_total, self._ctx(st.id))
+        self.started = True
+        self._apply(st.id, out, f"credit={render_credit(self.scn.credit_total)}")
+        self._activate(st.id)
+
+    def _timer(self, nid: NodeId, kind: str, parcel: Parcel | None):
+        st = self.nodes[nid]
+        if st.dark:
+            self.rt[nid].deferred.append((nid, kind, parcel))
+            return
+        ctx = self._ctx(nid)
+        if kind == "ack-timeout":
+            out = P.on_ack_timeout(st, parcel, ctx)
+        elif kind == "aack-timeout":
+            out = P.on_aack_timeout(st, parcel, ctx)
+        else:  # "weak-deadline"
+            out = P.on_weak_deadline(st, ctx)
+        if out.label != "timer-void":
+            self._apply(nid, out, kind)
+        if not st.awaiting:
+            self._maybe_idle(nid)
+
+    def _detect(self, observer: NodeId, affected: NodeId):
+        obs = self.nodes[observer]
+        if self.nodes[affected].dark and obs.state == ACTIVE and not obs.dark and obs.joined:
+            out = P.on_neighbor_affected(obs, affected, self._ctx(observer))
+            self._apply(observer, out, f"neighbor {affected} dark")
+
+    def _work_done(self, nid: NodeId, gen: int):
+        rt = self.rt[nid]
+        if gen == rt.work_gen and rt.work_deadline is not None:
+            self._touched.add(nid)
+            rt.work_left = 0.0
+            rt.work_deadline = None
+            self._maybe_idle(nid)
 
     def step(self) -> bool:
         """Process one event; False when the queue has drained."""
         if not self.queue:
             return False
-        at, cls, _seq, kind, payload = heapq.heappop(self.queue)
+        at, _cls, _seq, event, args = heapq.heappop(self.queue)
         if at > self.horizon:
             # Leave it popped: everything past the horizon is unreached.
             self.queue.clear()
@@ -513,60 +542,7 @@ class Engine:
             raise HorizonExceeded(f"event at t={at:g} past horizon {self.horizon:g}")
         self.now = at
         self.events_processed += 1
-
-        # The most common kind first.
-        if kind == "deliver":
-            dst, frm, msg = payload
-            self._deliver(dst, frm, msg)
-        elif kind == "start":
-            st = self.nodes[self.scn.start_node]
-            out = P.on_external_start(st, self.scn.credit_total, self._ctx(st.id))
-            self.started = True
-            self._apply(st.id, out, f"credit={render_credit(self.scn.credit_total)}")
-            self._activate(st.id)
-        elif kind == "world":
-            self._world(payload[0])
-        elif kind == "timer":
-            nid, tkind, parcel = payload
-            st = self.nodes[nid]
-            if st.dark:
-                self.rt[nid].deferred.append(payload)
-            else:
-                ctx = self._ctx(nid)
-                if tkind == "ack-timeout":
-                    out = P.on_ack_timeout(st, parcel, ctx)
-                elif tkind == "aack-timeout":
-                    out = P.on_aack_timeout(st, parcel, ctx)
-                elif tkind == "weak-deadline":
-                    out = P.on_weak_deadline(st, ctx)
-                else:
-                    raise AssertionError(f"unknown timer {tkind}")
-                if out.label != "timer-void":
-                    self._apply(nid, out, tkind)
-                if not st.awaiting:
-                    self._maybe_idle(nid)
-        elif kind == "detect":
-            observer, affected = payload
-            obs = self.nodes[observer]
-            if (
-                self.nodes[affected].dark
-                and obs.state == ACTIVE
-                and not obs.dark
-                and obs.joined
-            ):
-                out = P.on_neighbor_affected(obs, affected, self._ctx(observer))
-                self._apply(observer, out, f"neighbor {affected} dark")
-        elif kind == "work":
-            nid, gen = payload
-            rt = self.rt[nid]
-            if gen == rt.work_gen and rt.work_deadline is not None:
-                self._touched.add(nid)
-                rt.work_left = 0.0
-                rt.work_deadline = None
-                self._maybe_idle(nid)
-        else:
-            raise AssertionError(f"unknown event kind {kind}")
-
+        event(self, *args)
         self._post_event()
         return True
 
@@ -718,17 +694,15 @@ class Engine:
 
 def _context(
     scn: Scenario,
-    seed: int,
     nodes: dict[NodeId, NodeState],
     mutations: frozenset[str],
-    choice_n: Counter,
-    current: list[NodeId | None],
+    draws: Draws,
 ) -> Ctx:
     """The one Ctx an engine hands its handlers.
 
-    Its callables close over the node map, the choice counter and the
-    current-node cell, never over the engine, so keeping the Ctx on the
-    engine makes no reference cycle.
+    Its callables close over the node map and the run's Draws, never
+    over the engine, so keeping the Ctx on the engine makes no
+    reference cycle.
     """
 
     def view(k: NodeId) -> Peer:
@@ -742,13 +716,6 @@ def _context(
             if n.state == ACTIVE and not n.dark and n.id != me
         )
 
-    def choose(xs: list[NodeId]) -> NodeId:
-        if scn.choice == "lowest":
-            return min(xs)
-        me = current[0]
-        n = choice_n[me] = choice_n[me] + 1
-        return random.Random(f"{seed}|choice|{me}|{n}").choice(sorted(xs))
-
     return Ctx(
         now=0.0,
         total_credit=scn.credit_total,
@@ -756,7 +723,7 @@ def _context(
         weak_wait=scn.weak_wait,
         view=view,
         active_peers=active_peers,
-        choose=choose,
+        choose=draws.choice,
         mutations=mutations,
     )
 

@@ -9,29 +9,27 @@ original credit.
 
 The observed computation (who activates whom, per-pair message delays,
 workload runtimes) is reproduced from the scenario exactly the way the
-main engine reproduces it, down to the seeded per-pair delay streams, so
-a reference run and an engine run of the same scenario and seed agree on
-the ground-truth termination instant bit for bit.  Only the control side
-differs: flat returns to a fixed collector, no handshakes, no tree, no
-spectrum awareness.  That is also why this detector refuses scenarios
-with world events; it has no story for darkness or failure.
+main engine reproduces it, so a reference run and an engine run of the
+same scenario and seed agree on the ground-truth termination instant
+bit for bit.  Two inputs are shared with the engine by construction:
+the delays come from a scenario.Draws, and equal-time events break ties
+by the engine's queue classes.  The rest is this module's own: its
+event loop, activation and plan fanout, workload timers, busy tracking
+and the detector.  The control side differs: flat returns to a fixed
+collector, no handshakes, no tree, no spectrum awareness.  That is also
+why this detector refuses scenarios with world events; it has no story
+for darkness or failure.
 """
 
 from __future__ import annotations
 
 import heapq
-import random
-from collections import Counter
 from dataclasses import dataclass
 
 from .credit import ZERO, Credit, credit_sum, render_credit
+from .engine import CLS_MSG, CLS_WORK, CLS_WORLD
 from .errors import SafetyViolation
-from .scenario import Scenario
-
-# Same tie-break classes as the main engine: world < messages < work.
-_CLS_WORLD = 0
-_CLS_MSG = 2
-_CLS_WORK = 4
+from .scenario import Draws, Scenario
 
 
 @dataclass
@@ -68,7 +66,7 @@ def run_reference(scn: Scenario, seed: int) -> ReferenceReport:
 
     queue: list[tuple[float, int, int, str, tuple]] = []
     seq = 0
-    delay_n: Counter = Counter()
+    draws = Draws(scn, seed)
     now = scn.start_at
     last_activity = scn.start_at
     was_busy = False
@@ -78,16 +76,11 @@ def run_reference(scn: Scenario, seed: int) -> ReferenceReport:
         seq += 1
         heapq.heappush(queue, (at, cls, seq, kind, payload))
 
-    def delay(src: int, dst: int, stream: str) -> float:
-        n = delay_n[(src, dst, stream)] = delay_n[(src, dst, stream)] + 1
-        lo, hi = scn.delay
-        return random.Random(f"{seed}|delay|{src}|{dst}|{stream}|{n}").uniform(lo, hi)
-
     def send_com(src: int, dst: int, c: Credit):
         nonlocal coms, inflight_coms
         coms += 1
         inflight_coms += 1
-        push(now + delay(src, dst, "b"), _CLS_MSG, "com", (src, dst, c))
+        push(now + draws.delay(src, dst, "b"), CLS_MSG, "com", (src, dst, c))
 
     def run_plan(nid: int):
         p = procs[nid]
@@ -102,9 +95,9 @@ def run_reference(scn: Scenario, seed: int) -> ReferenceReport:
     def schedule_work(nid: int):
         p = procs[nid]
         p.work_deadline = now + p.work_left
-        push(p.work_deadline, _CLS_WORK, "work", (nid,))
+        push(p.work_deadline, CLS_WORK, "work", (nid,))
 
-    push(scn.start_at, _CLS_WORLD, "start", ())
+    push(scn.start_at, CLS_WORLD, "start", ())
 
     while queue:
         now, _cls, _seq, kind, payload = heapq.heappop(queue)
@@ -133,7 +126,7 @@ def run_reference(scn: Scenario, seed: int) -> ReferenceReport:
             pot = pot + c
             if pot == total and announce_time is None:
                 announce_time = now
-        elif kind == "work":
+        else:  # "work"
             nid = payload[0]
             p = procs[nid]
             p.work_left = 0.0
@@ -146,9 +139,7 @@ def run_reference(scn: Scenario, seed: int) -> ReferenceReport:
                     announce_time = now
             else:
                 returns += 1
-                push(now + delay(nid, collector, "c"), _CLS_MSG, "ret", (nid, c))
-        else:
-            raise AssertionError(f"unknown event kind {kind}")
+                push(now + draws.delay(nid, collector, "c"), CLS_MSG, "ret", (nid, c))
 
         busy = inflight_coms > 0 or any(
             p.active and (p.work_deadline is not None or p.work_left > 0.0)

@@ -94,7 +94,7 @@ class Ctx:
     weak_wait: float
     view: Callable[[NodeId], Peer]
     active_peers: Callable[[NodeId], list[NodeId]]  # same-computation, sorted
-    choose: Callable[[list[NodeId]], NodeId]  # new-C_E / fallback policy
+    choose: Callable[[NodeId, list[NodeId]], NodeId]  # (me, xs): me's new C_E or fallback
     mutations: frozenset[str] = frozenset()  # names from KNOWN_MUTATIONS
 
 
@@ -334,11 +334,13 @@ def on_com(st: NodeState, frm: NodeId, m: COM, ctx: Ctx) -> Out:
 # --- A4: credit surrender --------------------------------------------------
 
 
-def choose_new_ce(candidates: list[NodeId], choose: Callable[[list[NodeId]], NodeId]) -> NodeId:
-    """Pick the executive-role heir from the active candidates."""
+def choose_new_ce(
+    me: NodeId, candidates: list[NodeId], choose: Callable[[NodeId, list[NodeId]], NodeId]
+) -> NodeId:
+    """Node me picks the executive-role heir from the active candidates."""
     if not candidates:
         raise NoActivePeer("no active candidate for the executive role")
-    return candidates[0] if len(candidates) == 1 else choose(candidates)
+    return candidates[0] if len(candidates) == 1 else choose(me, candidates)
 
 
 def _active_tree_children(st: NodeState, ctx: Ctx) -> list[NodeId]:
@@ -364,7 +366,7 @@ def _surrender_target(st: NodeState, ctx: Ctx) -> NodeId | None:
             return st.parent
     kids = _active_tree_children(st, ctx)
     if kids:
-        return choose_new_ce(kids, ctx.choose)
+        return choose_new_ce(st.id, kids, ctx.choose)
     creditors = [
         k
         for k in sorted(st.in_map)
@@ -374,7 +376,7 @@ def _surrender_target(st: NodeState, ctx: Ctx) -> NodeId | None:
         return creditors[0]
     anyone = ctx.active_peers(st.id)
     if anyone:
-        return ctx.choose(anyone)
+        return ctx.choose(st.id, anyone)
     return None
 
 
@@ -472,7 +474,7 @@ def surrender_core(st: NodeState, ctx: Ctx) -> Out:
             st.settled = True
             out.merge(try_announce(st, ctx))
             return out
-        target = choose_new_ce(kids, ctx.choose)
+        target = choose_new_ce(st.id, kids, ctx.choose)
     else:
         target = _surrender_target(st, ctx)
     _first_line_returns(st, ctx, target, out)

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 from .core import ChannelId, NodeId
@@ -166,6 +166,8 @@ class Scenario:
         if self.horizon is not None:
             check_time("horizon", self.horizon)
         for ev in self.events:
+            if ev.kind not in EVENT_KINDS:
+                raise ValidationError(f"unknown event kind {ev.kind!r}")
             check_time(f"time of {ev.kind} {ev.arg}", ev.at)
             if ev.kind.startswith("pu-"):
                 if ev.arg not in self.channels:
@@ -185,6 +187,39 @@ def check_time(what: str, value: float):
         raise ValidationError(f"non-finite {what}: {value}")
     if value < 0:
         raise ValidationError(f"negative {what}: {value:g}")
+
+
+class Draws:
+    """Every seeded draw of one run: message delays and tie-break picks.
+
+    Each draw is seeded by the run seed, the draw's stream and its count
+    within the stream, so a run repeats bit for bit, and the engine and
+    the reference detector, each with a Draws of its own, agree on every
+    message delay.
+    """
+
+    def __init__(self, scn: Scenario, seed: int):
+        self._seed = seed
+        self._delay = scn.delay
+        self._policy = scn.choice
+        self._delay_n: dict[tuple[NodeId, NodeId, str], int] = {}
+        self._choice_n: dict[NodeId, int] = {}
+
+    def delay(self, src: NodeId, dst: NodeId, stream: str) -> float:
+        """The next delay on the (src, dst, stream) stream."""
+        lo, hi = self._delay
+        if lo == hi:
+            return lo  # a fixed delay needs no draw
+        key = (src, dst, stream)
+        n = self._delay_n[key] = self._delay_n.get(key, 0) + 1
+        return random.Random(f"{self._seed}|delay|{src}|{dst}|{stream}|{n}").uniform(lo, hi)
+
+    def choice(self, me: NodeId, xs: list[NodeId]) -> NodeId:
+        """Node `me`'s pick among xs, under the scenario's choice policy."""
+        if self._policy == "lowest":
+            return min(xs)
+        n = self._choice_n[me] = self._choice_n.get(me, 0) + 1
+        return random.Random(f"{self._seed}|choice|{me}|{n}").choice(sorted(xs))
 
 
 # --- parsing -----------------------------------------------------------------

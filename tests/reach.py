@@ -75,15 +75,10 @@ UNREACHED = frozenset(
         'protocol.on_aack_timeout | if st.hold < rec.amount: > raise NegativeCredit(',
         'protocol.on_external_start | if st.state == ACTIVE: > raise AlreadyActive(f"node {st.id} already active")',
         'protocol.on_pan | if not st.is_ce(): > raise NotChiefExecutive(f"node {st.id} got a PaN without the role")',
-        # Raises on input the scenario parser and the engine never make.
+        # A raise on input the scenario parser and the engine never make.
         'engine.Engine.__init__ | if unknown: > raise ValueError(f"unknown mutations {unknown}")',
-        'engine.Engine._dispatch | if name is None: > raise TypeError(f"undeliverable message {msg!r}")',
-        'engine.Engine._world | else: > raise AssertionError(f"unknown world event {ev.kind}")',
-        'engine.Engine.step | elif kind == "timer": > else: > else: > raise AssertionError(f"unknown timer {tkind}")',
-        'engine.Engine.step | else: > raise AssertionError(f"unknown event kind {kind}")',
-        # Entry points for tests and the benchmark, which the corpus does
-        # not call.
-        'engine.Engine.inject | self._launch(at, CLS_MSG, dst, frm, msg)',
+        # The entry point for tests and the benchmark, which the corpus
+        # does not call.
         'engine.run_scenario | eng = Engine(',
         'engine.run_scenario | return eng.run(), eng.trace',
         # A SpecialReclaim that reaches the executive after it announced.

@@ -171,6 +171,19 @@ def test_trace_round_trip(tmp_path, capsys):
     assert "replay: identical" in capsys.readouterr().out
 
 
+def test_trace_keeps_the_horizon_flag_for_its_replay(tmp_path, capsys):
+    trace = tmp_path / "short.trace"
+    assert run_cli("--scenario", SEC6, "--horizon", "3", "--trace-out", str(trace)) == 4
+    capsys.readouterr()
+    assert "\nhorizon = 3\n" in trace.read_text()
+    # Replayed at the scenario's own horizon of 100, the log would run on.
+    assert run_cli("--replay", str(trace)) == 0
+    out = capsys.readouterr().out
+    assert "no announcement (horizon reached)" in out
+    assert "end of run: t=3," in out
+    assert "replay: identical" in out
+
+
 def test_trace_written_even_when_the_run_trips(tmp_path, capsys):
     trace = tmp_path / "bad.trace"
     code = run_cli(

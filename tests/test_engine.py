@@ -2,6 +2,7 @@
 reordering, darkness handling, and fault injection."""
 
 import gc
+import itertools
 import json
 import random
 import types
@@ -13,7 +14,7 @@ import pytest
 from tcran import checker
 from tcran.core import COM, ImP, NaP, PaN, TM
 from tcran.credit import ZERO, Credit, credit
-from tcran.engine import Engine, run_scenario
+from tcran.engine import CLS_MSG, Engine, run_scenario
 from tcran.errors import HorizonExceeded, SafetyViolation
 from tcran.scenario import gen_random_scenario, load_scenario
 
@@ -266,13 +267,18 @@ def finished_engine(name="sec6"):
     return eng
 
 
+def inject(eng, frm, dst, msg):
+    """Put an arbitrary message on the air, one time unit from now."""
+    eng._launch(eng.now + 1, CLS_MSG, dst, frm, msg)
+
+
 def test_stale_zero_cargo_messages_change_nothing_after_tm():
     # Late messages reach nodes that already heard the announcement.
     eng = finished_engine()
     holds = {nid: st.hold for nid, st in eng.nodes.items()}
-    eng.inject(eng.now + 1, 3, 2, COM(ZERO))
-    eng.inject(eng.now + 1, 3, 2, ImP(p=1))
-    eng.inject(eng.now + 1, 3, 2, TM(mode="strong"))
+    inject(eng, 3, 2, COM(ZERO))
+    inject(eng, 3, 2, ImP(p=1))
+    inject(eng, 3, 2, TM(mode="strong"))
     eng.run()
     assert {nid: st.hold for nid, st in eng.nodes.items()} == holds
     assert eng.announce[0] == "strong"  # still the one announcement
@@ -280,7 +286,7 @@ def test_stale_zero_cargo_messages_change_nothing_after_tm():
 
 def test_injected_foreign_credit_is_caught_by_conservation():
     eng = finished_engine()
-    eng.inject(eng.now + 1, 3, 2, COM(credit(1, 3)))
+    inject(eng, 3, 2, COM(credit(1, 3)))
     with pytest.raises(SafetyViolation, match="credit sum"):
         eng.run()
 
@@ -303,7 +309,7 @@ def test_second_announcement_is_a_safety_violation():
     eng = finished_engine()
     mode, _, boss = eng.announce
     eng.nodes[boss].terminated = None
-    eng.inject(eng.now + 1, boss, None, NaP(boss))
+    inject(eng, boss, None, NaP(boss))
     with pytest.raises(SafetyViolation, match=f"node {boss} announced {mode} after"):
         eng.run()
 
@@ -316,7 +322,7 @@ def test_two_executives_at_role_delivery_are_a_safety_violation():
     other = next(k for k in eng.nodes if k != boss)
     eng.nodes[other].parent = other
     eng._touched.add(other)
-    eng.inject(eng.now + 1, other, None, COM(ZERO))
+    inject(eng, other, None, COM(ZERO))
     with pytest.raises(SafetyViolation, match="two executives"):
         eng.step()
 
@@ -351,16 +357,23 @@ def test_every_event_is_checked(monkeypatch):
 def test_an_engine_is_freed_without_the_cyclic_collector():
     # Nothing the engine keeps may hold one of its bound methods: that
     # would make a cycle, and only the cyclic collector could free it.
+    # Queue entries count too, so one engine of each pair is dropped
+    # mid-run, as a SafetyViolation leaves it.
     runs = [(golden("sec6"), 1), (gen_random_scenario(17, n_nodes=20), 17)]
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for scn, seed in runs:
+        for (scn, seed), steps in itertools.product(runs, (5, None)):
             eng = Engine(scn, seed)
-            eng.run()
+            if steps is None:
+                eng.run()
+            else:
+                for _ in range(steps):
+                    eng.step()
+                assert eng.queue
             ref = weakref.ref(eng)
             del eng
-            assert ref() is None, seed
+            assert ref() is None, (seed, steps)
     finally:
         if was_enabled:
             gc.enable()
@@ -391,12 +404,12 @@ def test_one_ctx_serves_every_handler_call():
     ctx = eng._ctx(2)
     assert ctx is first
     assert ctx.now == eng.now
-    # The draw comes from node 2's choice stream, the one _ctx named last.
+    # The draw comes from the choosing node's own stream.
     xs = list(range(50))
     mine, other = (random.Random(f"7|choice|{k}|1").choice(xs) for k in (2, 1))
     assert mine != other  # the streams tell the nodes apart
-    assert ctx.choose(xs) == mine
-    assert eng._choice_n == {2: 1}
+    assert ctx.choose(2, xs) == mine
+    assert eng.draws._choice_n == {2: 1}
     # The callables close over the node map, never over the engine, so
     # keeping the Ctx on the engine makes no cycle.
     assert not _reaches([ctx.view, ctx.active_peers, ctx.choose], eng)

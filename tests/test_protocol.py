@@ -56,7 +56,7 @@ def mkctx(nodes, now=0.0, total=ONE):
         weak_wait=50.0,
         view=view,
         active_peers=active_peers,
-        choose=lambda xs: xs[0],
+        choose=lambda me, xs: xs[0],
     )
 
 
@@ -678,8 +678,8 @@ def test_mutation_c2_announces_without_the_credit():
 
 def test_choose_new_ce_requires_a_candidate():
     with pytest.raises(NoActivePeer):
-        P.choose_new_ce([], lambda xs: xs[0])
-    assert P.choose_new_ce([4, 7], lambda xs: xs[-1]) == 7
+        P.choose_new_ce(1, [], lambda me, xs: xs[0])
+    assert P.choose_new_ce(1, [4, 7], lambda me, xs: xs[-1]) == 7
 
 
 # --- conservation property -----------------------------------------------------

@@ -152,3 +152,44 @@ def test_parameter_search_finding_is_safe(name, violation):
     except SafetyViolation as e:
         assert violation in str(e)  # any other violation fails outright
         raise
+
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="not yet mended")
+@pytest.mark.parametrize(
+    "name, first_wrong",
+    [
+        # A recover event clears the failure; the primary user stays.
+        ("dark_recover_occupied", (10.0, 2)),
+        # A primary user leaves; the failure lasts until 15.
+        ("dark_pu_revives_failed", (8.0, 2)),
+    ],
+    ids=["dark_recover_occupied", "dark_pu_revives_failed"],
+)
+def test_a_node_is_dark_exactly_while_a_cause_holds(name, first_wrong):
+    # The causes: no free channel left in its LCS, a failure not yet
+    # recovered, a crash.  Failures and crashes are read from the
+    # scenario's events up to the clock, so these scenarios keep their
+    # world events apart in time.
+    text = (REGRESSIONS / f"{name}.scn").read_text()
+    eng = Engine(load_scenario(text), run_seed(text))
+    wrong = []  # (time, node) after each step
+    while eng.step():
+        failed, crashed = set(), set()
+        for ev in eng.scn.events:
+            if ev.at > eng.now:
+                break
+            if ev.kind == "fail":
+                failed.add(ev.arg)
+            elif ev.kind == "recover":
+                failed.discard(ev.arg)
+            elif ev.kind == "crash":
+                crashed.add(ev.arg)
+        wrong += [
+            (eng.now, k)
+            for k, st in eng.nodes.items()
+            if st.dark != (not eng.world.lcs[k] or k in failed or k in crashed)
+        ]
+    if wrong and wrong[0] != first_wrong:
+        pytest.fail(f"a darkness mismatch other than the pinned one: {wrong[0]}")
+    assert not wrong

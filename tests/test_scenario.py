@@ -44,6 +44,16 @@ def scn(text=MINIMAL):
     return load_scenario(text)
 
 
+def _section(name, body):
+    """Append lines to a section of MINIMAL, adding the section if absent."""
+    def mangle(text):
+        if f"[{name}]\n" not in text:
+            return f"{text}\n[{name}]\n{body}\n"
+        return text.replace(f"[{name}]\n", f"[{name}]\n{body}\n")
+
+    return mangle
+
+
 def test_minimal_scenario_parses_with_defaults():
     s = scn()
     assert s.credit_total == credit(1)
@@ -186,11 +196,59 @@ def test_missing_start_rejected():
         (lambda t: t.replace("[plan]\n1: 2=1/2", "[plan]\n2: 1=1/2 1=1/4"), "two grants"),
         (lambda t: t.replace("1-2", "1-1"), "self-loop"),
         (lambda t: t.replace("2: 1 @1", "2: 1 @9"), "tuned"),
+        (_section("params", "credit = 0"), "total credit must be positive"),
+        (_section("params", "choice = best"), "unknown choice policy 'best'"),
+        (lambda t: t.replace("2: 1 @1", "2: 1 9 @1"), "node 2: unknown channels \\[9\\]"),
+        (lambda t: t.replace("1-2", "1-2 1-3"), "edge 1-3 references unknown node"),
+        (_section("plan", "9: 1=1/2"), "plan for unknown node 9"),
+        (lambda t: t.replace("1: 2=1/2", "1: 2=0"), "node 1: grant must be positive"),
+        (_section("workload", "9: 1"), "workload for unknown node 9"),
+        (_section("events", "at 1 fail 9"), "fail on unknown node 9"),
     ],
 )
 def test_structural_validation(mangle, message):
     with pytest.raises(ValidationError, match=message):
         load_scenario(mangle(MINIMAL))
+
+
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        # Structure of the file.
+        (lambda t: "# nothing but a comment\n", "empty input"),
+        (lambda t: t.replace("[channels]", "1\n[channels]"),
+         "line 3: content before any section"),
+        (lambda t: t.split("[nodes]")[0] + "[start]\nat 0 node 1\n",
+         "missing \\[nodes\\] section"),
+        # One row per malformed line.
+        (_section("params", "credit 1"), "expected key = value"),
+        (_section("params", "credit = 1/0"), "zero denominator"),
+        (lambda t: t.replace("2: 1 @1", "2 1 @1"),
+         "expected 'node: channels @tuned'"),
+        (lambda t: t.replace("1-2", "1+2"), "expected edge a-b, got '1\\+2'"),
+        (lambda t: t.replace("at 0 node 1", "at 0 1"),
+         "expected 'at TIME node ID'"),
+        (_section("start", "at 1 node 2"), "second start line"),
+        (lambda t: t.replace("2: 1\n", "2 1\n"), "expected 'node: duration'"),
+        (_section("workload", "1: 3"), "workload for 1 given twice"),
+        (lambda t: t.replace("1: 2=1/2", "1 2=1/2"),
+         "expected 'node: target=credit ...'"),
+        (_section("plan", "1: 2=1/4"), "plan for 1 given twice"),
+        (lambda t: t.replace("1: 2=1/2", "1: 2"), "expected target=credit"),
+        (_section("events", "at 1 fail"), "expected 'at TIME KIND ARG'"),
+    ],
+)
+def test_malformed_input_is_a_parse_error_with_its_reason(mangle, message):
+    with pytest.raises(ParseError, match=message):
+        load_scenario(mangle(MINIMAL))
+
+
+def test_validate_refuses_an_unknown_event_kind():
+    # The parser refuses one too; this is the check for scenarios built
+    # in code, which would otherwise reach the engine.
+    s = replace(gen_random_scenario(1), events=(Event(1.0, "eclipse", 1),))
+    with pytest.raises(ValidationError, match="unknown event kind 'eclipse'"):
+        s.validate()
 
 
 def test_edge_endpoints_must_share_a_channel():

@@ -1,0 +1,40 @@
+"""Trace files: every malformed header or body is refused with its reason."""
+
+from pathlib import Path
+
+import pytest
+
+from tcran import trace as tracefile
+from tcran.engine import run_scenario
+from tcran.errors import ParseError, ReplayDivergence
+from tcran.scenario import load_scenario
+
+SEC6 = (Path(__file__).resolve().parent.parent / "goldens" / "sec6.scn").read_text()
+
+
+def sec6_trace() -> str:
+    _, lines = run_scenario(load_scenario(SEC6), seed=1)
+    return tracefile.render_trace(SEC6, 1, lines)
+
+
+@pytest.mark.parametrize(
+    "mangle, error, message",
+    [
+        (lambda t: t.replace("seed = 1", "seed 1"), ParseError,
+         "line 2: expected key = value before scenario"),
+        (lambda t: t.replace("seed = 1", "seed = 1\nspeed = 2"), ParseError,
+         "line 3: unknown trace field 'speed'"),
+        (lambda t: t.replace("seed = 1\n", ""), ParseError, "trace file missing seed"),
+        (lambda t: t.split("--- scenario ---")[0], ParseError,
+         "missing '--- scenario ---'"),
+        (lambda t: t.split("--- trace ---")[0], ParseError, "missing '--- trace ---'"),
+        (lambda t: t.split("--- end ---")[0], ParseError, "missing '--- end ---'"),
+        # The recorded log lost its last line: every line replays alike,
+        # and then the replay runs on.
+        (lambda t: "\n".join(t.splitlines()[:-2] + ["--- end ---\n"]), ReplayDivergence,
+         "trace length changed: recorded 52 lines, replay produced 53"),
+    ],
+)
+def test_malformed_trace_is_refused_with_its_reason(mangle, error, message):
+    with pytest.raises(error, match=message):
+        tracefile.replay(mangle(sec6_trace()))
