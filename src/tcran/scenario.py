@@ -408,7 +408,10 @@ def load_scenario(text: str) -> Scenario:
 
 
 def _num(v: float) -> str:
-    return f"{v:g}"
+    """A time as text that reads back as the same float: the short
+    `:g` form when it does, the full repr when `:g` would round."""
+    text = f"{v:g}"
+    return text if float(text) == v else repr(v)
 
 
 def render_scenario(s: Scenario) -> str:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .engine import RunReport, run_scenario
 from .errors import ParseError, ReplayDivergence
-from .scenario import _float, _int, check_time, load_scenario
+from .scenario import _float, _int, _num, check_time, load_scenario
 
 HEADER = "# tcran-trace v1"
 _SCN_MARK = "--- scenario ---"
@@ -45,7 +45,7 @@ def render_trace(
 ) -> str:
     parts = [HEADER, f"seed = {seed}"]
     if horizon is not None:
-        parts.append(f"horizon = {horizon:g}")
+        parts.append(f"horizon = {_num(horizon)}")
     parts.append(_SCN_MARK)
     parts.append(scenario_text.rstrip("\n"))
     parts.append(_TRACE_MARK)

@@ -172,16 +172,20 @@ def test_trace_round_trip(tmp_path, capsys):
 
 
 def test_trace_keeps_the_horizon_flag_for_its_replay(tmp_path, capsys):
-    trace = tmp_path / "short.trace"
-    assert run_cli("--scenario", SEC6, "--horizon", "3", "--trace-out", str(trace)) == 4
-    capsys.readouterr()
-    assert "\nhorizon = 3\n" in trace.read_text()
-    # Replayed at the scenario's own horizon of 100, the log would run on.
-    assert run_cli("--replay", str(trace)) == 0
-    out = capsys.readouterr().out
-    assert "no announcement (horizon reached)" in out
-    assert "end of run: t=3," in out
-    assert "replay: identical" in out
+    # At 14.49999999, six significant digits would round the horizon up
+    # to sec6's announcement at 14.5, and the replay would run on.
+    for horizon, end in (("3", "3"), ("14.49999999", "14.5")):
+        trace = tmp_path / f"short-{horizon}.trace"
+        code = run_cli("--scenario", SEC6, "--horizon", horizon, "--trace-out", str(trace))
+        assert code == 4
+        capsys.readouterr()
+        assert f"\nhorizon = {horizon}\n" in trace.read_text()
+        # Replayed at the scenario's own horizon of 100, the log would run on.
+        assert run_cli("--replay", str(trace)) == 0
+        out = capsys.readouterr().out
+        assert "no announcement (horizon reached)" in out
+        assert f"end of run: t={end}," in out
+        assert "replay: identical" in out
 
 
 def test_trace_written_even_when_the_run_trips(tmp_path, capsys):

@@ -101,6 +101,11 @@ def test_every_param_round_trips_away_from_its_default():
     assert "\n".join(["[params]", *block, ""]) in text
     assert [line.split(" = ")[0] for line in block] == list(_PARAMS)
     assert load_scenario(text) == s
+    # A time that six significant digits would round is written in full.
+    s = replace(s, t_e=5.0000001)
+    text = render_scenario(s)
+    assert "\nt_e = 5.0000001\n" in text
+    assert load_scenario(text) == s
 
 
 @pytest.mark.parametrize(
