@@ -70,12 +70,16 @@ def parse_trace(text: str) -> TraceFile:
         raise ParseError(f"expected {HEADER!r} header", 1)
     seed: int | None = None
     horizon: float | None = None
+    seen: set[str] = set()
     i = 1
     while i < len(lines) and lines[i].strip() != _SCN_MARK:
         key, sep, value = lines[i].partition("=")
         if not sep:
             raise ParseError("expected key = value before scenario", i + 1)
         key, value = key.strip(), value.strip()
+        if key in seen:
+            raise ParseError(f"repeated trace field {key!r}", i + 1)
+        seen.add(key)
         if key == "seed":
             seed = _int(value, i + 1)
         elif key == "horizon":

@@ -25,6 +25,10 @@ def sec6_trace() -> str:
         (lambda t: t.replace("seed = 1", "seed = 1\nspeed = 2"), ParseError,
          "line 3: unknown trace field 'speed'"),
         (lambda t: t.replace("seed = 1\n", ""), ParseError, "trace file missing seed"),
+        (lambda t: t.replace("seed = 1", "seed = 1\nseed = 2"), ParseError,
+         "line 3: repeated trace field 'seed'"),
+        (lambda t: t.replace("seed = 1", "seed = 1\nhorizon = 50\nhorizon = 100"),
+         ParseError, "line 4: repeated trace field 'horizon'"),
         (lambda t: t.split("--- scenario ---")[0], ParseError,
          "missing '--- scenario ---'"),
         (lambda t: t.split("--- trace ---")[0], ParseError, "missing '--- trace ---'"),
