@@ -366,11 +366,10 @@ class Engine:
             self._drop_dark(st, frm, msg)
             return
 
+        was_active = st.state == ACTIVE
         out = self._dispatch(st, frm, msg, self._ctx(dst))
         kind = type(msg)
-        activated_now = (
-            kind is COM and st.state == ACTIVE and "activated" in out.notes
-        )
+        activated_now = kind is COM and not was_active and st.state == ACTIVE
         detail = f"{msg.describe()} from {frm}" if self.collect_trace else ""
         self._apply(dst, out, detail)
         if activated_now:
@@ -511,7 +510,7 @@ class Engine:
             out = P.on_aack_timeout(st, parcel, ctx)
         else:  # "weak-deadline"
             out = P.on_weak_deadline(st, ctx)
-        if out.label != "timer-void":
+        if out is not None:  # None: the timer was void
             self._apply(nid, out, kind)
         if not st.awaiting:
             self._maybe_idle(nid)

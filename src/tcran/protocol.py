@@ -655,18 +655,18 @@ def on_aack(st: NodeState, frm: NodeId, m: AAcK, ctx: Ctx) -> Out:
     return out
 
 
-def on_ack_timeout(st: NodeState, parcel: Parcel, ctx: Ctx) -> Out:
+def on_ack_timeout(st: NodeState, parcel: Parcel, ctx: Ctx) -> Out | None:
     """Sender-side t_e: re-send only if the parcel bounced back to escrow.
 
     An empty escrow means the parcel was delivered (the AcK is lost or
     late); re-sending would mint credit, so the surrender finalizes
     silently and the receiver's own timeout path guards the credit.
+    None when the handshake already closed: the timer is void.
     """
-    out = Out(label="ack-timeout")
     rec = st.pending.pop(parcel, None)
     if rec is None:
-        out.label = "timer-void"
-        return out
+        return None
+    out = Out(label="ack-timeout")
     if not rec.returned:
         out.notes.append("finalized-sans-ack")
         return out
@@ -695,13 +695,13 @@ def on_ack_timeout(st: NodeState, parcel: Parcel, ctx: Ctx) -> Out:
     return out
 
 
-def on_aack_timeout(st: NodeState, parcel: Parcel, ctx: Ctx) -> Out:
-    """Receiver-side t_e: settlement unconfirmed, ship the credit to C_E."""
-    out = Out(label="aack-timeout")
+def on_aack_timeout(st: NodeState, parcel: Parcel, ctx: Ctx) -> Out | None:
+    """Receiver-side t_e: settlement unconfirmed, ship the credit to C_E.
+    None when the settlement was confirmed: the timer is void."""
     rec = st.awaiting.pop(parcel, None)
     if rec is None:
-        out.label = "timer-void"
-        return out
+        return None
+    out = Out(label="aack-timeout")
     if st.hold < rec.amount:
         raise NegativeCredit(
             f"node {st.id}: awaiting extraction {render_credit(rec.amount)} "
@@ -886,16 +886,17 @@ def try_announce(st: NodeState, ctx: Ctx) -> Out:
     return out
 
 
-def on_weak_deadline(st: NodeState, ctx: Ctx) -> Out:
-    """Timer edge for C1: re-verify the balance at the armed instant."""
-    out = Out(label="weak-deadline")
+def on_weak_deadline(st: NodeState, ctx: Ctx) -> Out | None:
+    """Timer edge for C1: re-verify the balance at the armed instant.
+    None when the timer is void: disarmed, re-armed later, or the
+    role or the run moved on."""
     if (
         st.weak_deadline is None
         or ctx.now < st.weak_deadline
         or not (st.is_ce() and st.settled and st.terminated is None)
     ):
-        out.label = "timer-void"
-        return out
+        return None
+    out = Out(label="weak-deadline")
     if (
         not st.in_map
         and not st.reclaimable

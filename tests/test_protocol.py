@@ -627,11 +627,14 @@ def test_weak_disarms_if_the_books_moved():
     ce = active(1, 1, credit(4, 10))
     ce.settled = True
     ce.pu_ledger[(2, 3)] = (ZERO, credit(3, 10))
-    ctx = mkctx({1: ce}, now=10.0)
-    P.try_announce(ce, ctx)
-    ce.hold = credit(5, 10)  # balance broken before the deadline
+    ce.pu_ledger[(2, 4)] = (ZERO, credit(3, 10))
+    P.try_announce(ce, mkctx({1: ce}, now=10.0))  # the books are at 1
+    assert ce.weak_deadline == 60.0
+    ce.hold = credit(3, 10)  # balance broken before the deadline
     out = P.on_weak_deadline(ce, mkctx({1: ce}, now=60.0))
-    assert out.announce is None and ce.weak_deadline is None
+    assert out.label == "weak-deadline"
+    assert out.announce is None and ce.terminated is None
+    assert ce.weak_deadline is None
 
 
 def test_outstanding_reclaims_block_any_announcement():
