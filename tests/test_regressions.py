@@ -135,6 +135,14 @@ def test_a_message_at_the_weak_deadline_leaves_the_announcement_to_the_timer():
     ]
 
 
+def test_a_recover_event_leaves_a_crashed_node_off_the_air():
+    eng = _checked("crash_then_recover")
+    assert eng.nodes[2].dark
+    assert not any("|recovered|" in line for line in eng.trace)
+    assert eng.anomalies == ["t=10 recover on crashed node 2"]
+    assert eng.announce == ("weak", 70.0, 1)
+
+
 @pytest.mark.xfail(strict=True, raises=SafetyViolation, reason="not yet mended")
 @pytest.mark.parametrize(
     "name, violation",
