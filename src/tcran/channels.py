@@ -6,6 +6,11 @@ channel removes it from every LCS that lists it; a node whose LCS goes
 empty is affected: it cannot transmit or receive until some occupied
 channel frees up again.  Nodes that lose only their tuned channel hop
 to the lowest-numbered channel still in their LCS.
+
+Being affected is one of three causes that take a node off the air.
+The other two are the engine's: a failure, which lasts until the node's
+recover event, and a crash, which lasts for good.  Engine._sync_dark
+keeps a node dark exactly while at least one cause holds.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import ChannelId, NodeId
-from .errors import ValidationError
 
 
 @dataclass
@@ -24,19 +28,10 @@ class ChannelWorld:
     original: dict[NodeId, frozenset[ChannelId]] = field(init=False)
 
     def __post_init__(self):
-        for nid, chans in self.lcs.items():
-            if not chans <= self.gcs:
-                raise ValidationError(
-                    f"node {nid}: channels {sorted(chans - self.gcs)} "
-                    "not in the global set"
-                )
-            if self.tuned[nid] not in chans:
-                raise ValidationError(
-                    f"node {nid}: tuned channel {self.tuned[nid]} not in LCS"
-                )
         self.original = {n: frozenset(c) for n, c in self.lcs.items()}
 
     def affected(self, nid: NodeId) -> bool:
+        """The spectrum cause of darkness: no free channel in the LCS."""
         return not self.lcs[nid]
 
     def pu_appear(self, channel: ChannelId) -> tuple[list[NodeId], list[NodeId]]:

@@ -102,7 +102,7 @@ class _Runtime:
     work_deadline: float | None = None
     work_gen: int = 0
     deferred: list[tuple] = field(default_factory=list)  # timer payloads
-    crashed: bool = False
+    down: str | None = None  # "failure" until a recover, "crash" for good
 
 
 @dataclass
@@ -325,14 +325,6 @@ class Engine:
         rt.work_deadline = self.now + rt.work_left
         self._push(rt.work_deadline, CLS_WORK, Engine._work_done, (nid, rt.work_gen))
 
-    def _freeze_work(self, nid: NodeId):
-        self._touched.add(nid)
-        rt = self.rt[nid]
-        if rt.work_deadline is not None:
-            rt.work_left = max(0.0, rt.work_deadline - self.now)
-            rt.work_deadline = None
-            rt.work_gen += 1  # orphans the queued work event
-
     def _maybe_idle(self, nid: NodeId):
         st = self.nodes[nid]
         rt = self.rt[nid]
@@ -425,29 +417,26 @@ class Engine:
 
     # --- world events -----------------------------------------------------------
 
-    def _go_dark(self, nid: NodeId, why: str):
-        st = self.nodes[nid]
+    def _sync_dark(self, nid: NodeId, why: str):
+        """Keep a node off the air exactly while a cause holds: a primary
+        user on every channel of its LCS, a failure not yet recovered, or
+        a crash.  `why` names the cause that just changed."""
+        st, rt = self.nodes[nid], self.rt[nid]
+        if (self.world.affected(nid) or rt.down is not None) == st.dark:
+            return
+        self._touched.add(nid)
+        st.dark = not st.dark
         if st.dark:
+            self._n_dark += 1
+            self.peak_dark = max(self.peak_dark, self._n_dark)
+            if rt.work_deadline is not None:  # freeze the workload
+                rt.work_left = max(0.0, rt.work_deadline - self.now)
+                rt.work_deadline = None
+                rt.work_gen += 1  # orphans the queued work event
+            self._trace(nid, "dark", why)
+            for j in sorted(st.neighbors):
+                self._push(self.now + self.scn.d_detect, CLS_TIMER, Engine._detect, (j, nid))
             return
-        self._touched.add(nid)
-        st.dark = True
-        self._n_dark += 1
-        self.peak_dark = max(self.peak_dark, self._n_dark)
-        self._freeze_work(nid)
-        self._trace(nid, "dark", why)
-        for j in sorted(st.neighbors):
-            self._push(self.now + self.scn.d_detect, CLS_TIMER, Engine._detect, (j, nid))
-
-    def _recover(self, nid: NodeId):
-        st = self.nodes[nid]
-        rt = self.rt[nid]
-        if not st.dark:
-            return
-        if rt.crashed:
-            self.anomalies.append(f"t={self.now:g} recover on crashed node {nid}")
-            return
-        self._touched.add(nid)
-        st.dark = False
         self._n_dark -= 1
         self._trace(nid, "recovered", "")
         out = P.on_recovery(st, self._ctx(nid))
@@ -465,20 +454,30 @@ class Engine:
         hit, retuned = self.world.pu_appear(ch)
         self._trace("world", "pu-appear", f"ch={ch} hit={hit} retuned={retuned}")
         for nid in hit:
-            self._go_dark(nid, f"pu ch{ch}")
+            self._sync_dark(nid, f"pu ch{ch}")
 
     def _pu_disappear(self, ch: int):
         back = self.world.pu_disappear(ch)
         self._trace("world", "pu-disappear", f"ch={ch} back={back}")
         for nid in back:
-            self._recover(nid)
+            self._sync_dark(nid, f"pu ch{ch}")
 
     def _fail(self, nid: NodeId):
-        self._go_dark(nid, "failure")
+        rt = self.rt[nid]
+        rt.down = rt.down or "failure"  # a crash stays a crash
+        self._sync_dark(nid, "failure")
+
+    def _recover(self, nid: NodeId):
+        rt = self.rt[nid]
+        if rt.down == "crash":
+            self.anomalies.append(f"t={self.now:g} recover on crashed node {nid}")
+            return
+        rt.down = None
+        self._sync_dark(nid, "recover")
 
     def _crash(self, nid: NodeId):
-        self._go_dark(nid, "crash")
-        self.rt[nid].crashed = True
+        self.rt[nid].down = "crash"
+        self._sync_dark(nid, "crash")
 
     # Scenario event kind -> the function that applies it to its argument.
     _WORLD = {

@@ -661,8 +661,7 @@ def on_ack_timeout(st: NodeState, parcel: Parcel, ctx: Ctx) -> Out | None:
     An empty escrow means the parcel was delivered (the AcK is lost or
     late); re-sending would mint credit, so the surrender finalizes
     silently and the receiver's own timeout path guards the credit.
-    None when the handshake already closed: the timer is void.
-    """
+    None when the handshake already closed: the timer is void."""
     rec = st.pending.pop(parcel, None)
     if rec is None:
         return None
@@ -888,8 +887,7 @@ def try_announce(st: NodeState, ctx: Ctx) -> Out:
 
 def on_weak_deadline(st: NodeState, ctx: Ctx) -> Out | None:
     """Timer edge for C1: re-verify the balance at the armed instant.
-    None when the timer is void: disarmed, re-armed later, or the
-    role or the run moved on."""
+    None when void: disarmed, re-armed for later, or the role moved on."""
     if (
         st.weak_deadline is None
         or ctx.now < st.weak_deadline

@@ -408,8 +408,7 @@ def load_scenario(text: str) -> Scenario:
 
 
 def _num(v: float) -> str:
-    """A time as text that reads back as the same float: the short
-    `:g` form when it does, the full repr when `:g` would round."""
+    """A time as text that reads back as the same float."""
     text = f"{v:g}"
     return text if float(text) == v else repr(v)
 

@@ -42,7 +42,7 @@ VARIANTS = (
     {"delay": (0.1, 20.0), "weak_wait": 0.0},
 )
 
-WIDE_DIGEST = "e390fe5633d692e3294148384f8dcf5ba91dad3abb2f5c0a21e1f678b7e125fc"
+WIDE_DIGEST = "89eeaaf43237f223e6de536442630439c7d34873c4073464574c573b9332755f"
 
 
 def digest() -> str:

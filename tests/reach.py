@@ -56,8 +56,6 @@ REACH_RUNS = (
     (1489, 8),  # a plan larger than the credit in hand is skipped
     (1681, 4),  # a weak timer whose books moved since arming
     (1717, 12),  # a second PaN for one ledger row
-    (2890, 9),  # a crashed node whose channel's primary user leaves
-    (315, 10),  # a recover event for a node that is not dark
 )
 
 # What the fixed corpus never reaches.  The wide corpus reaches none of

@@ -25,7 +25,7 @@ GOLDEN_SEEDS = (1, 2, 3)
 # Seeds 145 and 164 take the role-requeue path of delivery.
 FUZZ_SEEDS = range(100, 200)
 
-EXPECTED_DIGEST = "18df55107e96aa4a172fb721795d670849303c7158a7bb820215788bc9e21f5f"
+EXPECTED_DIGEST = "3184d8d7125b27e6d4ca6dae3fbfd2f6335af7799351cfce7de87d15a6bc65ba"
 
 # Mixed runs (seed, node count) that reach the rare surrender paths the
 # corpus above misses: a returned handover parcel (924, 1094, 517, 1095,

@@ -162,26 +162,24 @@ def test_parameter_search_finding_is_safe(name, violation):
         raise
 
 
-
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="not yet mended")
 @pytest.mark.parametrize(
-    "name, first_wrong",
+    "name",
     [
         # A recover event clears the failure; the primary user stays.
-        ("dark_recover_occupied", (10.0, 2)),
+        "dark_recover_occupied",
         # A primary user leaves; the failure lasts until 15.
-        ("dark_pu_revives_failed", (8.0, 2)),
+        "dark_pu_revives_failed",
+        # A recover event leaves the crash in place.
+        "crash_then_recover",
     ],
-    ids=["dark_recover_occupied", "dark_pu_revives_failed"],
 )
-def test_a_node_is_dark_exactly_while_a_cause_holds(name, first_wrong):
+def test_a_node_is_dark_exactly_while_a_cause_holds(name):
     # The causes: no free channel left in its LCS, a failure not yet
     # recovered, a crash.  Failures and crashes are read from the
     # scenario's events up to the clock, so these scenarios keep their
     # world events apart in time.
     text = (REGRESSIONS / f"{name}.scn").read_text()
     eng = Engine(load_scenario(text), run_seed(text))
-    wrong = []  # (time, node) after each step
     while eng.step():
         failed, crashed = set(), set()
         for ev in eng.scn.events:
@@ -193,11 +191,6 @@ def test_a_node_is_dark_exactly_while_a_cause_holds(name, first_wrong):
                 failed.discard(ev.arg)
             elif ev.kind == "crash":
                 crashed.add(ev.arg)
-        wrong += [
-            (eng.now, k)
-            for k, st in eng.nodes.items()
-            if st.dark != (not eng.world.lcs[k] or k in failed or k in crashed)
-        ]
-    if wrong and wrong[0] != first_wrong:
-        pytest.fail(f"a darkness mismatch other than the pinned one: {wrong[0]}")
-    assert not wrong
+        for k, st in eng.nodes.items():
+            cause = not eng.world.lcs[k] or k in failed or k in crashed
+            assert st.dark == cause, f"t={eng.now:g}: node {k}"
