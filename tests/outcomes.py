@@ -1,0 +1,419 @@
+"""One table of outcomes for every pinned corpus: tests/outcomes.tsv.
+
+A run ends strong, weak, silent, in a bounds failure or in a safety
+failure.  This module owns the named corpora, how each run is classed,
+and how each corpus is hashed; tests/outcomes.tsv holds the result.
+
+The corpora (a "mixed seed" is gen_random_scenario(seed, 3 + seed % 28)):
+
+    identity  the goldens at seeds 1..3, both deliberate mutations run
+              through cli.main, and mixed seeds 100..199
+    rare      RARE_PATH_RUNS, mixed runs that take rare surrender paths
+    grid      mixed seeds 0..2999 under each timing variant of VARIANTS
+    ff        failure-free mixed seeds 0..9999
+    ff100     failure-free runs at N = 100, seeds 0..49
+    n60       mixed runs at N = 60, seeds 0..299
+    n100      mixed runs at N = 100, seeds 0..149
+
+The classes:
+
+    strong, weak
+    bounds              a row of message_bounds_report is exceeded
+    safety:<words>      a SafetyViolation, by its first words
+    silent:<why>        no announcement, named by the first guard of
+                        protocol.try_announce that holds the executive
+                        back at the end of the run (SILENT, in order)
+
+A run outside every class stops the tool with an error.  The table has
+five tab-separated columns: corpus, seed, variant, class and detail.
+Each run that does not end strong has a row, and so has a strong run
+that reaches the horizon.  Each corpus has a
+"sha256" line and "counts" lines in the seed column: the hash covers
+every trace and every report or violation text of the corpus, and the
+counts give the runs of each class.  identity and rare hash each run's
+trace and outcome alone (for a mutation: the exit code, stderr and trace
+file of the CLI run) and count all their runs on one line.  The other
+corpora also hash each run's "{variant}|{seed}" key and, for a run
+without world events, the reference detector's report, and count each
+variant on its own line.  Run from the repo root:
+
+    PYTHONPATH=src python tests/outcomes.py            # check
+    PYTHONPATH=src python tests/outcomes.py --update   # rewrite the table
+
+A check recomputes every corpus, prints the runs whose outcome moved,
+grouped as "old class -> new class", and each corpus line that moved,
+and exits 1 if anything moved.  A change that moves behaviour on
+purpose rewrites the table and says which runs moved and why.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from collections import Counter, defaultdict
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, Iterable, Iterator
+
+from tcran import cli
+from tcran.checker import assert_bounds
+from tcran.credit import render_credit
+from tcran.engine import Engine, RunReport
+from tcran.errors import BoundsViolation, SafetyViolation
+from tcran.mattern import run_reference
+from tcran.protocol import KNOWN_MUTATIONS
+from tcran.scenario import Scenario, gen_random_scenario, load_scenario, render_scenario
+
+TABLE = Path(__file__).resolve().parent / "outcomes.tsv"
+GOLDENS = Path(__file__).resolve().parent.parent / "goldens"
+GOLDEN_NAMES = ("sec6", "sec6_pu", "b4_cluster", "b4_cluster_nopu")
+GOLDEN_SEEDS = (1, 2, 3)
+# Seeds 145 and 164 take the role-requeue path of delivery.
+FUZZ_SEEDS = range(100, 200)
+
+# Mixed runs (seed, node count) that reach the rare surrender paths the
+# corpus above misses: a returned handover parcel (924, 1094, 517, 1095,
+# 1126), a SpecialReclaim (950), and an ordinary parcel bounced back to
+# escrow and re-sent (22, 67).
+RARE_PATH_RUNS = (
+    (924, 3),
+    (1094, 5),
+    (517, 60),
+    (1095, 60),
+    (1126, 60),
+    (950, 60),
+    (22, 60),
+    (67, 14),
+)
+
+# Timing fields replaced in each grid variant; the first keeps the
+# generated ones.
+VARIANTS = (
+    {},
+    {"delay": (1.0, 1.0), "weak_wait": 0.0},
+    {"delay": (0.5, 2.0), "weak_wait": 1.0},
+    {"delay": (1.0, 1.0), "weak_wait": 5.0},
+    {"delay": (0.1, 20.0), "weak_wait": 50.0},
+    {"delay": (0.1, 20.0), "weak_wait": 0.0},
+)
+
+# try_announce's guards in order, each naming why a settled-looking
+# executive stays silent.
+SILENT = (
+    "no-exec",  # no node holds the role
+    "exec-dark",  # the executive is off the air
+    "unsettled",
+    "in-map",  # a creditor entry is left
+    "reclaimable",
+    "short-hold",  # no ledger row, and the hold is below the total
+    "over-count",  # hold + ledger_balance() is above the total
+    "under-count",  # ... or below it
+)
+
+STRONG = ("strong", "-")
+
+# (corpus, seed or "sha256" or "counts", variant) -> (class, detail)
+Key = tuple[str, str, str]
+Cell = tuple[str, str]
+
+
+@dataclass(frozen=True)
+class Run:
+    seed: int
+    variant: str
+    scn: Scenario
+    # A mutated run also goes through cli.main, which reads the scenario
+    # from a file of this text.
+    mutation: str | None = None
+    text: str = ""
+
+
+def mixed(
+    seed: int, n_nodes: int | None = None, failure_free: bool = False
+) -> Scenario:
+    n_nodes = 3 + seed % 28 if n_nodes is None else n_nodes
+    return gen_random_scenario(seed, n_nodes, failure_free=failure_free)
+
+
+def identity() -> Iterator[Run]:
+    for name in GOLDEN_NAMES:
+        scn = load_scenario((GOLDENS / f"{name}.scn").read_text())
+        for seed in GOLDEN_SEEDS:
+            yield Run(seed, name, scn)
+    # The walkthrough trips the in-map bug; the announce-guard bug needs
+    # a run whose executive settles before all credit is back.
+    bait = {
+        "a5-keep-inmap": (GOLDENS / "sec6.scn").read_text(),
+        "c2-skip-hold-check": render_scenario(gen_random_scenario(1)),
+    }
+    for mutation in KNOWN_MUTATIONS:
+        text = bait[mutation]
+        yield Run(1, mutation, load_scenario(text), mutation, text)
+    for seed in FUZZ_SEEDS:
+        yield Run(seed, "-", mixed(seed))
+
+
+def rare() -> Iterator[Run]:
+    for seed, n_nodes in RARE_PATH_RUNS:
+        yield Run(seed, f"N={n_nodes}", mixed(seed, n_nodes))
+
+
+def grid(
+    seeds: Iterable[int] = range(3000),
+    variants: Iterable[int] = range(len(VARIANTS)),
+) -> Iterator[Run]:
+    for i in variants:
+        for seed in seeds:
+            yield Run(seed, str(i), dataclasses.replace(mixed(seed), **VARIANTS[i]))
+
+
+def _sized(
+    seeds: range, n_nodes: int | None, failure_free: bool
+) -> Callable[[], Iterator[Run]]:
+    def runs() -> Iterator[Run]:
+        for seed in seeds:
+            yield Run(seed, "-", mixed(seed, n_nodes, failure_free))
+
+    return runs
+
+
+@dataclass(frozen=True)
+class Corpus:
+    runs: Callable[[], Iterable[Run]]
+    keyed: bool  # hash run keys and reference reports, count per variant
+
+
+CORPORA = {
+    "identity": Corpus(identity, keyed=False),
+    "rare": Corpus(rare, keyed=False),
+    "grid": Corpus(grid, keyed=True),
+    "ff": Corpus(_sized(range(10000), None, True), keyed=True),
+    "ff100": Corpus(_sized(range(50), 100, True), keyed=True),
+    "n60": Corpus(_sized(range(300), 60, False), keyed=True),
+    "n100": Corpus(_sized(range(150), 100, False), keyed=True),
+}
+
+
+# --- one run ------------------------------------------------------------------
+
+
+def play(run: Run, h=None, keyed: bool = False) -> Cell:
+    """Run once and class the outcome.  Given a sha256 object h, the run
+    is traced and its bytes go into h, with its key and reference report
+    when keyed."""
+    eng = Engine(
+        run.scn,
+        run.seed,
+        collect_trace=h is not None,
+        mutations=(run.mutation,) if run.mutation else (),
+    )
+    report: RunReport | None = None
+    err: SafetyViolation | None = None
+    try:
+        report = eng.run()
+    except SafetyViolation as e:
+        err = e
+    if h is not None:
+        if keyed:
+            h.update(f"{run.variant}|{run.seed}\n".encode())
+        if run.mutation:
+            h.update(_cli_bytes(run))
+        else:
+            if err is not None:
+                outcome = f"safety violation: {err}"
+            else:
+                outcome = json.dumps(dataclasses.asdict(report), sort_keys=True)
+            h.update("\n".join(eng.trace).encode())
+            h.update(f"\n{outcome}\n".encode())
+        if keyed and not run.scn.events:
+            ref = dataclasses.asdict(run_reference(run.scn, run.seed))
+            h.update(f"{json.dumps(ref, sort_keys=True)}\n".encode())
+    return classify(eng, report, err)
+
+
+def _cli_bytes(run: Run) -> bytes:
+    """The exit code, stderr and trace file of the run through cli.main."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scn_path = Path(tmp, "run.scn")
+        scn_path.write_text(run.text)
+        out = Path(tmp, "run.trace")
+        stderr = io.StringIO()
+        argv = ["--scenario", str(scn_path), "--seed", str(run.seed)]
+        argv += ["--mutate", run.mutation, "--trace-out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+        head = f"{run.mutation}|{code}|{stderr.getvalue()}"
+        return head.encode() + out.read_bytes()
+
+
+def classify(
+    eng: Engine, report: RunReport | None, err: SafetyViolation | None
+) -> Cell:
+    """The run's (class, detail).  A safety class is the violation's
+    first words, at most three, after any "t=...: " prefix and before
+    the first word with a digit, so that one kind of violation makes one
+    class."""
+    if err is not None:
+        text = str(err)
+        words = text.split(": ", 1)[1] if text.startswith("t=") else text
+        head = []
+        for word in words.split()[:3]:
+            if any(c.isdigit() for c in word):
+                break
+            head.append(word.rstrip(":"))
+        return f"safety:{' '.join(head)}", text
+    assert report is not None
+    try:
+        assert_bounds(report.bounds)
+    except BoundsViolation as e:
+        cls, detail = "bounds", str(e)
+    else:
+        if report.terminated == "strong":
+            cls, detail = STRONG
+        elif report.terminated == "weak":
+            cls = "weak"
+            detail = f"node {report.announcer} at t={report.announce_time:g}"
+        else:
+            cls, detail = _silent(eng)
+    if report.horizon_hit:
+        # A strong run that hits the horizon gets a row too.
+        detail = "horizon reached" if detail == "-" else f"{detail}; horizon reached"
+    return cls, detail
+
+
+def _silent(eng: Engine) -> Cell:
+    ces = [st for st in eng.nodes.values() if st.is_ce()]
+    if not ces:
+        return "silent:no-exec", "no node holds the role"
+    (st,) = ces
+    total = eng.scn.credit_total
+    books = f"exec {st.id} hold={render_credit(st.hold)}"
+    why = None
+    if st.dark:
+        why = "exec-dark"
+    elif not st.settled:
+        why = "unsettled"
+    elif st.in_map:
+        why = "in-map"
+        books += f" in_map={_render(st.in_map)}"
+    elif st.reclaimable:
+        why = "reclaimable"
+        books += f" reclaimable={_render(st.reclaimable)}"
+    elif not st.pu_ledger:
+        if st.hold < total:
+            why = "short-hold"
+    else:
+        ledger = st.ledger_balance()
+        books += f" ledger={render_credit(ledger)}"
+        if st.hold + ledger > total:
+            why = "over-count"
+        elif st.hold + ledger < total:
+            why = "under-count"
+    if why is None:
+        raise ValueError(f"a silent run fits no class: {books}")
+    return f"silent:{why}", books
+
+
+def _render(book: dict) -> str:
+    items = (f"{k}: {render_credit(v)}" for k, v in sorted(book.items()))
+    return "{" + ", ".join(items) + "}"
+
+
+# --- the table ------------------------------------------------------------------
+
+
+def _rank(cls: str) -> tuple:
+    kind, _, why = cls.partition(":")
+    order = ("strong", "weak", "bounds", "safety", "silent")
+    return order.index(kind), SILENT.index(why) if kind == "silent" else why
+
+
+def compute(name: str) -> dict[Key, Cell]:
+    """The table's lines for one corpus, by running it traced."""
+    corpus = CORPORA[name]
+    h = hashlib.sha256()
+    rows: dict[Key, Cell] = {}
+    counts: defaultdict[str, Counter] = defaultdict(Counter)
+    for run in corpus.runs():
+        try:
+            cell = play(run, h, corpus.keyed)
+        except ValueError as e:
+            raise ValueError(f"{name} {run.seed} {run.variant}: {e}") from e
+        if cell != STRONG:
+            rows[(name, str(run.seed), run.variant)] = cell
+        counts[run.variant if corpus.keyed else "-"][cell[0]] += 1
+    lines: dict[Key, Cell] = {(name, "sha256", "-"): ("-", h.hexdigest())}
+    for variant, count in counts.items():
+        ordered = sorted(count.items(), key=lambda kv: _rank(kv[0]))
+        tally = ", ".join(f"{cls} {n}" for cls, n in ordered)
+        lines[(name, "counts", variant)] = ("-", tally)
+    return lines | rows
+
+
+def read(path: Path) -> dict[Key, Cell]:
+    lines = {}
+    for line in path.read_text().splitlines():
+        if line and not line.startswith("#"):
+            corpus, seed, variant, cls, detail = line.split("\t")
+            lines[(corpus, seed, variant)] = (cls, detail)
+    return lines
+
+
+def write(lines: dict[Key, Cell], path: Path):
+    header = [
+        "# The outcome of every run of the pinned corpora: see tests/outcomes.py.",
+        "# A run that ends strong has no row.",
+        "# corpus\tseed\tvariant\tclass\tdetail",
+    ]
+    body = ["\t".join((*key, *cell)) for key, cell in lines.items()]
+    path.write_text("\n".join(header + body) + "\n")
+
+
+def moved(old: dict[Key, Cell], new: dict[Key, Cell]) -> list[str]:
+    """What moved from the table to the runs, for the corpora in new."""
+    corpora = {key[0] for key in new}
+    old = {key: cell for key, cell in old.items() if key[0] in corpora}
+    runs: defaultdict[tuple[str, str], list[str]] = defaultdict(list)
+    corpus_lines = []
+    for key in [*old, *(k for k in new if k not in old)]:
+        corpus, seed, variant = key
+        was, now = old.get(key, STRONG), new.get(key, STRONG)
+        if was == now:
+            continue
+        if seed.isdigit():
+            run = f"  {corpus} {seed} {variant}: {was[1]} -> {now[1]}"
+            runs[(was[0], now[0])].append(run)
+        else:
+            line = f"{corpus} {seed} {variant} moved: {was[1]} -> {now[1]}"
+            corpus_lines.append(line)
+    report = []
+    for (was, now), found in runs.items():
+        report.append(f"{was} -> {now} ({len(found)})")
+        report += found
+    return report + corpus_lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--update", action="store_true", help="rewrite the table")
+    args = ap.parse_args(argv)
+    new: dict[Key, Cell] = {}
+    for name in CORPORA:
+        new |= compute(name)
+    if args.update:
+        write(new, TABLE)
+        return 0
+    report = moved(read(TABLE), new)
+    print("\n".join(report) if report else f"{TABLE.name}: nothing moved")
+    return 1 if report else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,10 +10,11 @@ the file:
 
     on_special | if isinstance(m, SpecialForward): > if not _live(st, out): > return out
 
-The fixed corpus is the goldens at seeds 1..3, every scenario under
-tests/regressions/ at the seed its header names, both deliberate
-mutations, the fuzz runs of test_identity.py, and REACH_RUNS.  The wide
-corpus adds mixed fuzz seeds 0..3999 and 100 mixed runs at N = 60.
+The fixed corpus is the identity and rare corpora of tests/outcomes.py
+(the goldens at seeds 1..3, both deliberate mutations and mixed fuzz
+runs), every scenario under tests/regressions/ at the seed its header
+names, and REACH_RUNS.  The wide corpus adds mixed fuzz seeds 0..3999
+and 100 mixed runs at N = 60.
 UNREACHED pins what the fixed corpus leaves unreached; test_reach.py
 holds the tier-1 check.  Run from the repo root:
 
@@ -36,9 +37,9 @@ from typing import Iterator
 from tcran import engine, protocol
 from tcran.engine import Engine
 from tcran.errors import SafetyViolation
-from tcran.scenario import Scenario, gen_random_scenario, load_scenario
+from tcran.scenario import Scenario, load_scenario
 
-from test_identity import FUZZ_SEEDS, GOLDEN_NAMES, GOLDEN_SEEDS, GOLDENS, RARE_PATH_RUNS
+from outcomes import identity, mixed, rare
 from test_regressions import REGRESSIONS, run_seed
 
 MODULES = (protocol, engine)
@@ -90,36 +91,22 @@ UNREACHED = frozenset(
 Run = tuple[Scenario, int, tuple[str, ...], bool]
 
 
-def _mixed(seed: int, n_nodes: int | None = None, traced: bool = True) -> Run:
-    n_nodes = 3 + seed % 28 if n_nodes is None else n_nodes
-    return gen_random_scenario(seed, n_nodes), seed, (), traced
-
-
 def fixed_corpus() -> Iterator[Run]:
-    for name in GOLDEN_NAMES:
-        scn = load_scenario((GOLDENS / f"{name}.scn").read_text())
-        for seed in GOLDEN_SEEDS:
-            yield scn, seed, (), True
+    for run in (*identity(), *rare()):
+        yield run.scn, run.seed, (run.mutation,) if run.mutation else (), True
     for path in sorted(REGRESSIONS.glob("*.scn")):
         text = path.read_text()
         yield load_scenario(text), run_seed(text), (), True
-    sec6 = load_scenario((GOLDENS / "sec6.scn").read_text())
-    yield sec6, 1, ("a5-keep-inmap",), True
-    yield gen_random_scenario(1), 1, ("c2-skip-hold-check",), True
-    for seed in FUZZ_SEEDS:
-        yield _mixed(seed)
-    for seed, n_nodes in RARE_PATH_RUNS:
-        yield _mixed(seed, n_nodes)
     for seed, n_nodes in REACH_RUNS:
-        yield _mixed(seed, n_nodes, traced=False)
+        yield mixed(seed, n_nodes), seed, (), False
 
 
 def wide_corpus() -> Iterator[Run]:
     yield from fixed_corpus()
     for seed in WIDE_MIXED_SEEDS:
-        yield _mixed(seed, traced=False)
+        yield mixed(seed), seed, (), False
     for seed in WIDE_N60_SEEDS:
-        yield _mixed(seed, 60, traced=False)
+        yield mixed(seed, 60), seed, (), False
 
 
 def statements(path: Path) -> dict[str, frozenset[int]]:

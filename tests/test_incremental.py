@@ -17,8 +17,9 @@ from tcran.errors import HorizonExceeded, SafetyViolation
 from tcran.protocol import KNOWN_MUTATIONS
 from tcran.scenario import gen_random_scenario, load_scenario
 
+from outcomes import GOLDEN_NAMES
+
 ROOT = Path(__file__).resolve().parent.parent
-GOLDEN_NAMES = ("sec6", "sec6_pu", "b4_cluster", "b4_cluster_nopu")
 REGRESSION_SEEDS = (1006, 2434, 5089)
 
 

@@ -47,7 +47,21 @@ def _run(seed: int):
     return scn, report
 
 
-@pytest.mark.parametrize("seed", [1006, 2434, 5089])
+@pytest.mark.parametrize(
+    "seed",
+    [
+        1006,
+        2434,
+        5089,
+        # An ImPC overtakes the COM it settles and strands it in in_map.
+        pytest.param(
+            8773,
+            marks=pytest.mark.xfail(
+                strict=True, raises=AssertionError, reason="not yet mended"
+            ),
+        ),
+    ],
+)
 def test_failure_free_fuzz_finding_announces_strong(seed):
     scn, report = _run(seed)
     assert not scn.events
@@ -151,8 +165,11 @@ def test_a_recover_event_leaves_a_crashed_node_off_the_air():
         ("fuzz_2433", "weak announced while node 1 is still active"),
         # An ack-timeout finalizes a handover parcel still on the air.
         ("fuzz_146", "no chief executive and no handover in flight"),
+        # At a fixed delay the executive's own claim on a dark node
+        # balances its books.
+        ("fuzz_67", "weak announced while node 11 is still active"),
     ],
-    ids=["fuzz_2433", "fuzz_146"],
+    ids=["fuzz_2433", "fuzz_146", "fuzz_67"],
 )
 def test_parameter_search_finding_is_safe(name, violation):
     try:

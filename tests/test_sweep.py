@@ -1,65 +1,54 @@
 """A safety sweep wider than the acceptance fuzz: more seeds, larger N.
 
-The acceptance sweep covers fuzz seeds 0..999.  This one runs seeds
-1000..2999 at 3..30 nodes with the full event mix, mixed runs at N = 60
-and N = 100, and failure-free runs at N = 100.  No run may break safety,
-and every failure-free fuzz run announces.  The silent ones are
-collected, not filtered out, so a failure names its seeds.
+The acceptance sweep covers fuzz seeds 0..999.  This one runs, untraced,
+four corpora of tests/outcomes.py: mixed seeds 1000..2999 at 3..30 nodes
+with the full event mix (the grid's variant 0), mixed runs at N = 60 and
+N = 100, and failure-free runs at N = 100.  Every run must end as
+tests/outcomes.tsv says, so a fix or a new gap shows here by seed; the
+silent runs it pins are the liveness gaps of ROADMAP.md item 4.  On top
+of that, no run may break safety, and every failure-free run announces.
 """
 
 import pytest
 
-from tcran.engine import run_scenario
-from tcran.errors import SafetyViolation
-from tcran.scenario import gen_random_scenario
+import outcomes
 
-# Failure-free fuzz seeds in the range that end with no announcement.
-STALE_CLAIM_SEEDS: set[int] = set()
+
+def _play(corpus, runs):
+    """Each run's (class, detail) by seed, and the seeds where it differs
+    from the table's, with both."""
+    table = outcomes.read(outcomes.TABLE)
+    cells, moved = {}, {}
+    for run in runs:
+        cells[run.seed] = cell = outcomes.play(run)
+        pinned = table.get((corpus, str(run.seed), run.variant), outcomes.STRONG)
+        if cell != pinned:
+            moved[run.seed] = (pinned, cell)
+    return cells, moved
+
+
+def _unsafe(cells):
+    return {seed: cell for seed, cell in cells.items() if cell[0].startswith("safety")}
 
 
 def test_fuzz_seeds_1000_to_2999_are_safe():
-    violations, silent = [], set()
-    for seed in range(1000, 3000):
-        scn = gen_random_scenario(seed, n_nodes=3 + seed % 28)
-        try:
-            rep, _ = run_scenario(scn, seed, collect_trace=False)
-        except SafetyViolation as e:
-            violations.append((seed, str(e)))
-            continue
-        if not scn.events and rep.terminated is None:
-            silent.add(seed)
-    assert violations == []
-    assert silent == STALE_CLAIM_SEEDS
+    runs = list(outcomes.grid(range(1000, 3000), variants=[0]))
+    cells, moved = _play("grid", runs)
+    assert moved == {}
+    assert _unsafe(cells) == {}
+    failure_free = [r.seed for r in runs if not r.scn.events]
+    assert [s for s in failure_free if cells[s][0].startswith("silent")] == []
 
 
-# Mixed runs that end with no announcement, by size.  They are the
-# liveness gaps of ROADMAP.md item 1, pinned so that a fix or a new gap
-# shows here.
-SILENT_MIXED = {
-    60: (range(300), {44, 76, 193}),
-    100: (range(150), set()),
-}
-
-
-@pytest.mark.parametrize("n_nodes", sorted(SILENT_MIXED))
+@pytest.mark.parametrize("n_nodes", [60, 100])
 def test_mixed_runs_at_larger_n_are_safe(n_nodes):
-    seeds, expected_silent = SILENT_MIXED[n_nodes]
-    violations, silent = [], set()
-    for seed in seeds:
-        scn = gen_random_scenario(seed, n_nodes=n_nodes)
-        try:
-            rep, _ = run_scenario(scn, seed, collect_trace=False)
-        except SafetyViolation as e:
-            violations.append((seed, str(e)))
-            continue
-        if rep.terminated is None:
-            silent.add(seed)
-    assert violations == []
-    assert silent == expected_silent
+    corpus = f"n{n_nodes}"
+    cells, moved = _play(corpus, outcomes.CORPORA[corpus].runs())
+    assert moved == {}
+    assert _unsafe(cells) == {}
 
 
 def test_failure_free_hundred_node_runs_announce_strong():
-    for seed in range(50):
-        scn = gen_random_scenario(seed, n_nodes=100, failure_free=True)
-        rep, _ = run_scenario(scn, seed, collect_trace=False)
-        assert rep.terminated == "strong" and not rep.horizon_hit, f"seed {seed}"
+    cells, moved = _play("ff100", outcomes.CORPORA["ff100"].runs())
+    assert moved == {}
+    assert set(cells.values()) == {outcomes.STRONG}
