@@ -220,6 +220,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     if n < 1:
         print("error: --fuzz needs N >= 1", file=sys.stderr)
         return EXIT_PARSE
+    if args.nodes is not None and args.nodes < 2:
+        print("error: --nodes needs K >= 2", file=sys.stderr)
+        return EXIT_PARSE
     base = args.seed if args.seed is not None else 42
     horizon = _checked_horizon(args)
     verdicts: Counter = Counter()

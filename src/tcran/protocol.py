@@ -8,7 +8,13 @@ the simulator serializes events per node, so no locking is needed.
 
 Transition labels in trace output follow the protocol's action table
 names: A1..A6 for credit distribution/aggregation, B1..B4 for the
-affected-node flows, C1/C2 for the weak/strong announcements.
+affected-node flows, C1 for the weak announcement.  A strong announcement
+(C2) has no label of its own: the engine traces it as an `announce` line
+after the line of the handler whose event completed the credit.
+
+A top-level handler (distribute and the on_* functions) builds the one
+Out of its event.  The sub-transitions it calls (surrender_core, _bounce,
+try_announce) append to that Out and set no label.
 
 A run carries one computation.  A node joins it through A1, its first
 COM, or a TM; the only delivery filter is the discard at a node that
@@ -124,12 +130,6 @@ class Out:
 
     def send(self, dst: NodeId | None, msg: Message, bucket: str | None = None):
         self.sends.append(Send(dst, msg, bucket or msg.kind))
-
-    def merge(self, other: "Out"):
-        self.sends.extend(other.sends)
-        self.timers.extend(other.timers)
-        self.announce = self.announce or other.announce
-        self.notes.extend(other.notes)
 
 
 @dataclass(slots=True)
@@ -353,27 +353,23 @@ def _active_tree_children(st: NodeState, ctx: Ctx) -> list[NodeId]:
     return kids
 
 
-def _surrender_target(st: NodeState, ctx: Ctx) -> NodeId | None:
+def _surrender_target(st: NodeState, ctx: Ctx, kids: list[NodeId]) -> NodeId | None:
     """A4 guard cascade: where does the main parcel go?
 
-    None means the chief-executive role (engine resolves at delivery),
-    the last resort when no active peer is visible anywhere in the
-    computation.
+    `kids` are the live tree children.  None means the chief-executive
+    role (engine resolves at delivery), the last resort when no active
+    peer is visible anywhere in the computation.
     """
     if st.parent is not None and st.parent != st.id:
         p = ctx.view(st.parent)
         if p.active and not p.dark:
             return st.parent
-    kids = _active_tree_children(st, ctx)
     if kids:
         return choose_new_ce(st.id, kids, ctx.choose)
-    creditors = [
-        k
-        for k in sorted(st.in_map)
-        if ctx.view(k).active and not ctx.view(k).dark and k != st.id
-    ]
-    if creditors:
-        return creditors[0]
+    for k in sorted(st.in_map):  # the first live creditor
+        p = ctx.view(k)
+        if p.active and not p.dark and k != st.id:
+            return k
     anyone = ctx.active_peers(st.id)
     if anyone:
         return ctx.choose(st.id, anyone)
@@ -449,7 +445,7 @@ def _convert_dark_claims(st: NodeState, ctx: Ctx, out: Out):
             out.send(None, PaN(k, in_part, amount), bucket="special")
 
 
-def surrender_core(st: NodeState, ctx: Ctx) -> Out:
+def surrender_core(st: NodeState, ctx: Ctx, out: Out):
     """The surrender transition shared by A4, bounces, and retry re-sends.
 
     Empties the node: active creditors are paid back first, then the main
@@ -459,12 +455,11 @@ def surrender_core(st: NodeState, ctx: Ctx) -> Out:
     upward: it either hands its role and its books to an active child or
     settles in place and tries to announce.
     """
-    out = Out(label="A4")
     _convert_dark_claims(st, ctx, out)
+    kids = _active_tree_children(st, ctx)
 
     handover = st.is_ce()
     if handover:
-        kids = _active_tree_children(st, ctx)
         if not kids:
             # Nothing to hand over to: settle and watch the books.
             _first_line_returns(st, ctx, None, out)
@@ -472,14 +467,14 @@ def surrender_core(st: NodeState, ctx: Ctx) -> Out:
             # has already arrived where it was headed.
             st.hold = st.hold + _fold_remaining_credit(st)
             st.settled = True
-            out.merge(try_announce(st, ctx))
-            return out
+            try_announce(st, ctx, out)
+            return
         target = choose_new_ce(st.id, kids, ctx.choose)
     else:
-        target = _surrender_target(st, ctx)
+        target = _surrender_target(st, ctx, kids)
     _first_line_returns(st, ctx, target, out)
     folded = _fold_remaining_credit(st)
-    kids = [k for k in _active_tree_children(st, ctx) if k != target]
+    kids = [k for k in kids if k != target]
     child_map = tuple((k, st.out_map[k]) for k in kids)
     ledger: LedgerRows = ()
     reclaim: ReclaimRows = ()
@@ -514,20 +509,21 @@ def surrender_core(st: NodeState, ctx: Ctx) -> Out:
     st.hold = ZERO
     st.out_map.clear()
     st.settled = False
-    return out
 
 
 def on_idle(st: NodeState, ctx: Ctx) -> Out:
     """A4 entry point: workload finished, give the credit back."""
     assert st.state == ACTIVE and st.terminated is None and not st.awaiting
-    return surrender_core(st, ctx)
+    out = Out(label="A4")
+    surrender_core(st, ctx, out)
+    return out
 
 
 def _bounce(st: NodeState, ctx: Ctx, out: Out):
     """A passive node cannot sit on credit: surrender it onward at once."""
     st.state = ACTIVE
     out.notes.append("bounce")
-    out.merge(surrender_core(st, ctx))
+    surrender_core(st, ctx, out)
 
 
 # --- A5: receiving surrendered credit ---------------------------------------
@@ -558,7 +554,7 @@ def on_impc(st: NodeState, frm: NodeId, m: ImPC, ctx: Ctx) -> Out:
         if st.state == ACTIVE:
             extra = st.in_map.pop(frm, ZERO)
             st.hold = st.hold + extra
-            out.merge(try_announce(st, ctx))
+            try_announce(st, ctx, out)
         return out
 
     folded = st.in_map.pop(frm, ZERO)
@@ -587,13 +583,13 @@ def on_impc(st: NodeState, frm: NodeId, m: ImPC, ctx: Ctx) -> Out:
         if not m.handover:
             st.awaiting[m.parcel] = AwaitedParcel(frm, absorbed)
             out.timers.append(Timer("aack-timeout", ctx.now + ctx.t_e, m.parcel))
-        out.merge(try_announce(st, ctx))
+        try_announce(st, ctx, out)
     elif m.handover:
         # A passive heir settles in place as the new executive; the
         # parcel is settled from this side, so no AAcK wait.
         st.state = ACTIVE
         st.settled = True
-        out.merge(try_announce(st, ctx))
+        try_announce(st, ctx, out)
         if st.terminated is None:
             out.notes.append("settled-as-CE")
     else:
@@ -677,20 +673,18 @@ def on_ack_timeout(st: NodeState, parcel: Parcel, ctx: Ctx) -> Out | None:
         _take_role(st, msg)
         st.settled = True
         out.notes.append("handover-returned")
-        out.merge(surrender_core(st, ctx))  # retry guard (b) or settle
+        surrender_core(st, ctx, out)  # retry guard (b) or settle
         return out
     # Ordinary parcel: put the credit back in hand and run the guard
     # cascade again against the current world.
     for child, c in msg.child_map:
         st.out_map[child] = st.out_map.get(child, ZERO) + c
-    retry = surrender_core(st, ctx)
-    out.sends = [
-        Send(s.dst, s.msg, "retry") if isinstance(s.msg, ImPC) else s
-        for s in retry.sends
-    ]
-    out.timers = retry.timers
-    out.announce = retry.announce
-    out.notes.append("re-sent")
+    surrender_core(st, ctx, out)
+    for s in out.sends:
+        if isinstance(s.msg, ImPC):
+            s.bucket = "retry"
+    # Unlike the handover retry above, this line drops the surrender's notes.
+    out.notes = ["re-sent"]
     return out
 
 
@@ -754,7 +748,7 @@ def on_pan(st: NodeState, frm: NodeId, m: PaN, ctx: Ctx) -> Out:
         out.notes.append("duplicate-pan")
         return out
     st.pu_ledger[key] = (m.in_credit, m.out_credit)
-    out.merge(try_announce(st, ctx))
+    try_announce(st, ctx, out)
     return out
 
 
@@ -818,7 +812,7 @@ def on_nap(st: NodeState, frm: NodeId, m: NaP, ctx: Ctx) -> Out:
         ):
             st.nap_replied.add(frm)
             out.send(frm, TM(st.terminated))
-        out.merge(try_announce(st, ctx))
+        try_announce(st, ctx, out)
     elif (
         st.state == ACTIVE
         and st.terminated is None
@@ -841,7 +835,7 @@ def on_special(st: NodeState, frm: NodeId, m: Message, ctx: Ctx) -> Out:
             _strand_cargo(st, m.credit, out)
             return out
         st.hold = st.hold + m.credit
-        out.merge(try_announce(st, ctx))
+        try_announce(st, ctx, out)
         return out
     assert isinstance(m, SpecialReclaim)
     if not _live(st, out):
@@ -852,37 +846,51 @@ def on_special(st: NodeState, frm: NodeId, m: Message, ctx: Ctx) -> Out:
         out.notes.append("nothing-reclaimable")
         return out
     out.send(frm, COM(amount, refund=True), bucket="special")
-    out.merge(try_announce(st, ctx))
+    try_announce(st, ctx, out)
     return out
 
 
 # --- C1/C2: announcements ------------------------------------------------------
 
 
-def try_announce(st: NodeState, ctx: Ctx) -> Out:
+def blocker(st: NodeState, total: Credit) -> str | None:
+    """The first condition that holds a chief executive's announcement
+    back, or None when its books allow C2 (no ledger) or C1 (a ledger).
+
+    out_map entries are claims on credit that has left, not credit, so
+    they block nothing (checker.assert_announcement stays the arbiter).
+    """
+    if not st.settled:
+        return "unsettled"
+    if st.in_map:
+        return "in-map"
+    if st.reclaimable:
+        return "reclaimable"
+    books = st.hold + st.ledger_balance() if st.pu_ledger else st.hold
+    if books < total:
+        return "under-count" if st.pu_ledger else "short-hold"
+    if books > total:
+        return "over-count"
+    return None
+
+
+def try_announce(st: NodeState, ctx: Ctx, out: Out):
     """C2, or arm the timer whose edge alone fires C1; only a settled
     chief executive may speak."""
-    out = Out(label="announce-check")
-    if not st.is_ce() or not st.settled or st.terminated is not None:
-        return out
-    # out_map entries are claims on credit that has left, not credit:
-    # they cannot block C1/C2 (assert_announcement stays the arbiter).
-    if st.in_map or st.reclaimable:
-        return out
+    if not st.is_ce() or st.terminated is not None:
+        return
+    why = blocker(st, ctx.total_credit)
+    if why == "short-hold" and "c2-skip-hold-check" in ctx.mutations:
+        why = None  # deliberate bug: announce without the credit
+    if why is not None:
+        return
     if not st.pu_ledger:
-        hold_ok = st.hold == ctx.total_credit
-        if "c2-skip-hold-check" in ctx.mutations:
-            hold_ok = True  # deliberate bug: announce without the credit
-        if hold_ok:
-            st.terminated = STRONG
-            out.label = "C2"
-            out.announce = STRONG
-        return out
-    if st.weak_deadline is None and st.hold + st.ledger_balance() == ctx.total_credit:
+        st.terminated = STRONG
+        out.announce = STRONG
+    elif st.weak_deadline is None:
         st.weak_deadline = ctx.now + ctx.weak_wait
         out.timers.append(Timer("weak-deadline", st.weak_deadline))
         out.notes.append(f"weak-armed@{st.weak_deadline:g}")
-    return out
 
 
 def on_weak_deadline(st: NodeState, ctx: Ctx) -> Out | None:
@@ -895,12 +903,7 @@ def on_weak_deadline(st: NodeState, ctx: Ctx) -> Out | None:
     ):
         return None
     out = Out(label="weak-deadline")
-    if (
-        not st.in_map
-        and not st.reclaimable
-        and st.pu_ledger
-        and st.hold + st.ledger_balance() == ctx.total_credit
-    ):
+    if st.pu_ledger and blocker(st, ctx.total_credit) is None:
         st.terminated = WEAK
         out.label = "C1"
         out.announce = WEAK

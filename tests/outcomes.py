@@ -20,9 +20,10 @@ The classes:
     strong, weak
     bounds              a row of message_bounds_report is exceeded
     safety:<words>      a SafetyViolation, by its first words
-    silent:<why>        no announcement, named by the first guard of
-                        protocol.try_announce that holds the executive
-                        back at the end of the run (SILENT, in order)
+    silent:<why>        no announcement: no-exec or exec-dark, or else
+                        protocol.blocker's name for what holds the
+                        executive back at the end of the run (SILENT,
+                        in order)
 
 A run outside every class stops the tool with an error.  The table has
 five tab-separated columns: corpus, seed, variant, class and detail.
@@ -67,7 +68,7 @@ from tcran.credit import render_credit
 from tcran.engine import Engine, RunReport
 from tcran.errors import BoundsViolation, SafetyViolation
 from tcran.mattern import run_reference
-from tcran.protocol import KNOWN_MUTATIONS
+from tcran.protocol import KNOWN_MUTATIONS, blocker
 from tcran.scenario import Scenario, gen_random_scenario, load_scenario, render_scenario
 
 TABLE = Path(__file__).resolve().parent / "outcomes.tsv"
@@ -103,8 +104,8 @@ VARIANTS = (
     {"delay": (0.1, 20.0), "weak_wait": 0.0},
 )
 
-# try_announce's guards in order, each naming why a settled-looking
-# executive stays silent.
+# Why a run ends silent, in order: the first two are read here, the
+# rest are protocol.blocker's names.
 SILENT = (
     "no-exec",  # no node holds the role
     "exec-dark",  # the executive is off the air
@@ -293,29 +294,14 @@ def _silent(eng: Engine) -> Cell:
     if not ces:
         return "silent:no-exec", "no node holds the role"
     (st,) = ces
-    total = eng.scn.credit_total
+    why = "exec-dark" if st.dark else blocker(st, eng.scn.credit_total)
     books = f"exec {st.id} hold={render_credit(st.hold)}"
-    why = None
-    if st.dark:
-        why = "exec-dark"
-    elif not st.settled:
-        why = "unsettled"
-    elif st.in_map:
-        why = "in-map"
+    if why == "in-map":
         books += f" in_map={_render(st.in_map)}"
-    elif st.reclaimable:
-        why = "reclaimable"
+    elif why == "reclaimable":
         books += f" reclaimable={_render(st.reclaimable)}"
-    elif not st.pu_ledger:
-        if st.hold < total:
-            why = "short-hold"
-    else:
-        ledger = st.ledger_balance()
-        books += f" ledger={render_credit(ledger)}"
-        if st.hold + ledger > total:
-            why = "over-count"
-        elif st.hold + ledger < total:
-            why = "under-count"
+    elif why in ("over-count", "under-count"):
+        books += f" ledger={render_credit(st.ledger_balance())}"
     if why is None:
         raise ValueError(f"a silent run fits no class: {books}")
     return f"silent:{why}", books

@@ -267,3 +267,9 @@ def test_fuzz_dumps_failing_seeds(tmp_path, monkeypatch, capsys):
 
 def test_fuzz_rejects_nonpositive_count(capsys):
     assert run_cli("--fuzz", "0") == 2
+
+
+@pytest.mark.parametrize("k", ["1", "0", "-3"])
+def test_fuzz_rejects_fewer_than_two_nodes(k, capsys):
+    assert run_cli("--fuzz", "2", "--nodes", k, "--seed", "5") == 2
+    assert capsys.readouterr().err == "error: --nodes needs K >= 2\n"

@@ -66,6 +66,13 @@ def active(nid, parent, hold, **kw):
     )
 
 
+def announce(st, ctx):
+    """try_announce writes into its caller's Out; give it a fresh one."""
+    out = P.Out()
+    P.try_announce(st, ctx, out)
+    return out
+
+
 def carried_out(out):
     return credit_sum(s.msg.carried_credit() for s in out.sends)
 
@@ -414,16 +421,27 @@ def test_timeout_without_returned_cargo_finalizes_silently():
 
 def test_timeout_with_returned_cargo_retries():
     parent = active(2, 1, credit(1, 2))
-    n = NodeState(id=3, joined=True)
-    rec = P.PendingSurrender(ImPC(credit(1, 10), parcel=(3, 1)), returned=True)
-    n.pending[(3, 1)] = rec
-    ctx = mkctx({2: parent, 3: n})
+    # The parcel's child_map entry for 4 comes back as a claim; 4 has
+    # another parent by now, so the re-sent surrender tells it by ImP.
+    borrower = active(4, 7, credit(1, 20))
+    dark = NodeState(id=5, dark=True)
+    n = NodeState(id=3, joined=True, out_map={5: credit(1, 40)})
+    parcel = ImPC(credit(1, 10), ((4, credit(1, 20)),), (3, 1))
+    n.pending[(3, 1)] = P.PendingSurrender(parcel, returned=True)
+    ctx = mkctx({2: parent, 3: n, 4: borrower, 5: dark})
     before = n.local_credit()
     out = P.on_ack_timeout(n, (3, 1), ctx)
     resent = [s for s in out.sends if isinstance(s.msg, ImPC)]
     assert len(resent) == 1
-    assert resent[0].bucket == "retry"
     assert resent[0].dst == 2  # fresh guard cascade picked a live target
+    others = [s for s in out.sends if not isinstance(s.msg, ImPC)]
+    assert [(s.dst, s.msg, s.bucket) for s in others] == [
+        (None, PaN(5, ZERO, credit(1, 40)), "special"),
+        (4, ImP(2), "ImP"),
+    ]
+    assert resent[0].bucket == "retry"
+    # The surrender's own "surrender->2" note is not kept.
+    assert out.label == "ack-timeout" and out.notes == ["re-sent"]
     assert n.state == PASSIVE
     assert_conserved(before, n, out)
 
@@ -601,11 +619,60 @@ def test_strong_needs_every_credit_in_hand():
     ce = active(1, 1, credit(9, 10))
     ce.settled = True
     ctx = mkctx({1: ce})
-    out = P.try_announce(ce, ctx)
+    out = announce(ce, ctx)
     assert out.announce is None and ce.terminated is None
     ce.hold = ONE
-    out = P.try_announce(ce, ctx)
-    assert out.announce == STRONG and out.label == "C2"
+    out = announce(ce, ctx)
+    assert out.announce == STRONG
+
+
+def test_impc_that_completes_the_credit_announces_strong():
+    ce = active(1, 1, credit(9, 10))
+    ce.settled = True
+    out = P.on_impc(ce, 6, ImPC(credit(1, 10), (), (6, 2)), mkctx({1: ce}))
+    assert isinstance(out, P.Out)
+    assert out.label == "A5" and out.announce == STRONG
+    assert ce.terminated == STRONG
+
+
+def _books(settled=True, hold=ONE, in_map=None, reclaimable=None, ledger=None):
+    ce = active(1, 1, hold, in_map=in_map or {})
+    ce.settled = settled
+    ce.reclaimable.update(reclaimable or {})
+    ce.pu_ledger.update(ledger or {})
+    return ce
+
+
+QUARTER = {(2, 3): (ZERO, credit(1, 4))}
+
+
+@pytest.mark.parametrize(
+    "books, why",
+    [
+        (_books(settled=False), "unsettled"),
+        (_books(in_map={2: credit(1, 4)}), "in-map"),
+        (_books(reclaimable={(2, 3): credit(1, 4)}), "reclaimable"),
+        (_books(hold=credit(3, 4)), "short-hold"),
+        (_books(ledger=QUARTER), "over-count"),
+        (_books(hold=credit(1, 2), ledger=QUARTER), "under-count"),
+        (_books(), None),
+        (_books(hold=credit(3, 4), ledger=QUARTER), None),
+        (_books(hold=credit(5, 4)), "over-count"),
+    ],
+    ids=[
+        "unsettled",
+        "in-map",
+        "reclaimable",
+        "short-hold",
+        "over-count",
+        "under-count",
+        "strong",
+        "weak",
+        "hold-above-total",
+    ],
+)
+def test_blocker_names_the_first_guard_that_holds(books, why):
+    assert P.blocker(books, ONE) == why
 
 
 def test_weak_arms_then_announces_at_the_deadline():
@@ -614,7 +681,7 @@ def test_weak_arms_then_announces_at_the_deadline():
     ce.pu_ledger[(2, 3)] = (ZERO, credit(3, 10))
     ce.pu_ledger[(2, 4)] = (ZERO, credit(3, 10))
     ctx = mkctx({1: ce}, now=10.0)
-    out = P.try_announce(ce, ctx)
+    out = announce(ce, ctx)
     assert out.announce is None
     assert ce.weak_deadline == 60.0
     assert any(t.kind == "weak-deadline" for t in out.timers)
@@ -628,7 +695,7 @@ def test_weak_disarms_if_the_books_moved():
     ce.settled = True
     ce.pu_ledger[(2, 3)] = (ZERO, credit(3, 10))
     ce.pu_ledger[(2, 4)] = (ZERO, credit(3, 10))
-    P.try_announce(ce, mkctx({1: ce}, now=10.0))  # the books are at 1
+    announce(ce, mkctx({1: ce}, now=10.0))  # the books are at 1
     assert ce.weak_deadline == 60.0
     ce.hold = credit(3, 10)  # balance broken before the deadline
     out = P.on_weak_deadline(ce, mkctx({1: ce}, now=60.0))
@@ -643,7 +710,7 @@ def test_outstanding_reclaims_block_any_announcement():
     ce.reclaimable[(2, 3)] = credit(1, 20)
     ce.hold = ONE - credit(1, 20)
     ctx = mkctx({1: ce})
-    assert P.try_announce(ce, ctx).announce is None
+    assert announce(ce, ctx).announce is None
 
 
 def test_tm_marks_termination():
@@ -673,9 +740,9 @@ def test_mutation_c2_announces_without_the_credit():
     ce = active(1, 1, credit(1, 2))
     ce.settled = True
     ctx = mkctx({1: ce})
-    assert P.try_announce(ce, ctx).announce is None
+    assert announce(ce, ctx).announce is None
     ctx.mutations = frozenset({"c2-skip-hold-check"})
-    out = P.try_announce(ce, ctx)
+    out = announce(ce, ctx)
     assert out.announce == STRONG  # premature: safety checker must flag
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from tcran.engine import Engine, run_scenario
 from tcran.errors import SafetyViolation
-from tcran.protocol import ACTIVE
+from tcran.protocol import ACTIVE, blocker
 from tcran.scenario import load_scenario
 
 REGRESSIONS = Path(__file__).resolve().parent / "regressions"
@@ -106,6 +106,24 @@ def test_executive_refunds_a_reclaim_to_a_reporter_still_active(name, filed, ref
     assert rows == filed
     assert refund in eng.trace
     assert eng.announce[0] == "strong"
+
+
+def test_an_open_reclaim_row_holds_a_settled_executive_back():
+    # The executive settles with no live child, then files a released
+    # ledger row as reclaimable while its reporter still computes.
+    scn = load_scenario((REGRESSIONS / "settled_reclaim.scn").read_text())
+    eng = Engine(scn, 1)
+    open_at = set()
+    while eng.step():
+        eng.full_check()
+        ce = eng.nodes[1]
+        if ce.reclaimable:
+            assert ce.settled and eng.nodes[2].state == ACTIVE
+            assert blocker(ce, scn.credit_total) == "reclaimable"
+            open_at.add(eng.now)
+    assert open_at == {8.0, 8.5}
+    assert "9|1|special|SpecialReclaim(4) from 2 weak-armed@59|hold=3/4" in eng.trace
+    assert eng.announce == ("strong", 33.0, 1)
 
 
 @pytest.mark.parametrize(
