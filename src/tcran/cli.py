@@ -3,7 +3,8 @@
 Exit codes are a total function of what went wrong:
 
     0  clean run, every check passed
-    2  scenario or trace file failed to parse or validate
+    2  scenario or trace file failed to parse or validate, or an option
+       was given that the chosen mode ignores
     3  safety violation (conservation, false announcement, ...)
     4  liveness violation (a failure-free run never announced)
     5  message-complexity bound exceeded
@@ -61,16 +62,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=None,
-        help="run seed, or base seed for --fuzz (defaults: 1 / 42)",
+        help="run seed, or base seed for --fuzz (defaults: 1 / 42); not with --replay",
     )
     ap.add_argument(
         "--horizon",
         type=float,
         default=None,
-        help="simulation-time cutoff; overrides the scenario's horizon",
+        help="simulation-time cutoff over the scenario's horizon; not with --replay",
     )
     ap.add_argument(
-        "--trace-out", metavar="PATH", help="write a replayable trace file"
+        "--trace-out", metavar="PATH", help="--scenario: write a replayable trace file"
     )
     ap.add_argument(
         "--report",
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         choices=sorted(P.KNOWN_MUTATIONS),
-        help="enable a protocol mutation (testing aid; repeatable)",
+        help="enable a protocol mutation (testing aid; repeatable; not with --replay)",
     )
     ap.add_argument(
         "--nodes",
@@ -99,15 +100,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Mode -> the options it would silently ignore; giving one is an error.
+_IGNORED = {
+    "scenario": ("nodes", "failure_free"),
+    "fuzz": ("trace_out",),
+    "replay": ("seed", "horizon", "mutate", "trace_out", "nodes", "failure_free"),
+}
+
+
 def _checked_horizon(args: argparse.Namespace) -> float | None:
     if args.horizon is not None:
         check_time("horizon", args.horizon)
     return args.horizon
 
 
-def _execute(scn, seed: int, horizon: float | None, mutations=()):
+def _execute(scn, seed: int, horizon: float | None, mutations=(), traced=False):
     """Run one scenario; returns (report|None, trace, safety error|None)."""
-    eng = Engine(scn, seed, horizon=horizon, mutations=mutations)
+    eng = Engine(
+        scn, seed, horizon=horizon, collect_trace=traced, mutations=mutations
+    )
     try:
         return eng.run(), eng.trace, None
     except SafetyViolation as e:
@@ -196,7 +207,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     seed = args.seed if args.seed is not None else 1
     horizon = _checked_horizon(args)
-    report, lines, err = _execute(scn, seed, horizon, tuple(args.mutate))
+    report, lines, err = _execute(
+        scn, seed, horizon, tuple(args.mutate), traced=bool(args.trace_out)
+    )
 
     if args.trace_out:
         tracefile.write_trace(args.trace_out, text, seed, lines, horizon)
@@ -235,16 +248,22 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             n_nodes=_fuzz_nodes(seed, args.nodes),
             failure_free=args.failure_free,
         )
-        report, lines, err = _execute(scn, seed, horizon, tuple(args.mutate))
+        report, _, err = _execute(scn, seed, horizon, tuple(args.mutate))
         verdict = _verdict(scn, report, err)
         if verdict:
             kind, detail = verdict
             verdicts[kind] += 1
             failures.append((seed, kind, detail))
+            # The engine is deterministic: a traced rerun of the seed logs
+            # the very run that just failed.
+            _, lines, _ = _execute(
+                scn, seed, horizon, tuple(args.mutate), traced=True
+            )
+            text = render_scenario(scn)
             scn_path = Path(f"tcran-fail-{seed}.scn")
-            scn_path.write_text(render_scenario(scn))
+            scn_path.write_text(text)
             tracefile.write_trace(
-                f"tcran-fail-{seed}.trace", render_scenario(scn), seed, lines, horizon
+                f"tcran-fail-{seed}.trace", text, seed, lines, horizon
             )
             print(
                 f"violation ({kind}) at seed {seed}: {detail}\n"
@@ -300,14 +319,20 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"scenario": cmd_run, "fuzz": cmd_fuzz, "replay": cmd_replay}
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    mode = "replay" if args.replay else "fuzz" if args.fuzz is not None else "scenario"
+    for dest in _IGNORED[mode]:
+        if getattr(args, dest) != ap.get_default(dest):
+            flag = "--" + dest.replace("_", "-")
+            print(f"error: {flag} does nothing with --{mode}", file=sys.stderr)
+            return EXIT_PARSE
     try:
-        if args.replay:
-            return cmd_replay(args)
-        if args.fuzz is not None:
-            return cmd_fuzz(args)
-        return cmd_run(args)
+        return _COMMANDS[mode](args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -3,6 +3,8 @@
 Everything here is an immutable value object: safe to copy, hash, and
 embed in trace lines.  Message payload rendering (``describe``) is the
 canonical wire text used by traces, so it must stay deterministic.
+How the engine carries each kind (its handler, queue class and delay
+stream) is decided in one place, tcran.engine._KINDS.
 
 A run carries exactly one computation: one initiator hands out the one
 credit the protocol conserves.  Messages therefore carry no session
@@ -239,10 +241,3 @@ class SpecialReclaim(Message):
     def describe(self) -> str:
         return f"SpecialReclaim({self.affected})"
 
-
-# Delivery priority: acknowledgements outrank everything else so the
-# handshake behaves near-atomically; all other kinds share one class.
-# The message classes are final, so an exact type test suffices.
-def priority_class(msg: Message) -> int:
-    kind = type(msg)
-    return 0 if kind is AcK or kind is AAcK else 1

@@ -2,7 +2,9 @@
 
 One Engine owns the node states, the spectrum world, and a single event
 queue ordered by (time, priority class, enqueue sequence).  Each entry
-carries the Engine function that applies it.  Determinism is
+carries the Engine function that applies it.  One table, _KINDS, says
+how each message kind travels: the protocol handler that receives it,
+its queue class, and the stream its delay is drawn from.  Determinism is
 load-bearing: every random draw (per-message delays, tie-break choices)
 comes from the run's scenario.Draws, so two runs of the same scenario
 and seed produce bit-identical traces, and the reference run in
@@ -62,7 +64,6 @@ from .core import (
     SpecialForward,
     SpecialReclaim,
     TM,
-    priority_class,
 )
 from .credit import Credit, ZERO, credit_sum, render_credit
 from .errors import HorizonExceeded, SafetyViolation
@@ -79,18 +80,23 @@ CLS_MSG = 2
 CLS_TIMER = 3
 CLS_WORK = 4
 
-# Message type -> name of its protocol.py handler.
-_HANDLERS = {
-    COM: "on_com",
-    ImPC: "on_impc",
-    ImP: "on_imp",
-    AcK: "on_ack",
-    AAcK: "on_aack",
-    PaN: "on_pan",
-    NaP: "on_nap",
-    SpecialForward: "on_special",
-    SpecialReclaim: "on_special",
-    TM: "on_tm",
+# Message type -> (name of its protocol.py handler, queue class, delay
+# stream).  Acknowledgements outrank every other kind at equal times, so
+# the handshake behaves near-atomically, and take the fixed d_ack delay
+# (stream None).  COM draws from the computation's "b" stream, every
+# other kind from the control "c" stream.  The message classes are
+# final, so the exact type keys the row.
+_KINDS = {
+    COM: ("on_com", CLS_MSG, "b"),
+    ImPC: ("on_impc", CLS_MSG, "c"),
+    ImP: ("on_imp", CLS_MSG, "c"),
+    AcK: ("on_ack", CLS_ACK, None),
+    AAcK: ("on_aack", CLS_ACK, None),
+    PaN: ("on_pan", CLS_MSG, "c"),
+    NaP: ("on_nap", CLS_MSG, "c"),
+    SpecialForward: ("on_special", CLS_MSG, "c"),
+    SpecialReclaim: ("on_special", CLS_MSG, "c"),
+    TM: ("on_tm", CLS_MSG, "c"),
 }
 
 
@@ -202,14 +208,6 @@ class Engine:
         self.seq += 1
         heapq.heappush(self.queue, (at, cls, self.seq, event, args))
 
-    def _delay_for(self, src: NodeId, dst: NodeId, msg: Message) -> float:
-        # Exact type tests: the message classes are final, and this runs
-        # for every send.
-        kind = type(msg)
-        if kind is AcK or kind is AAcK:
-            return self.scn.d_ack
-        return self.draws.delay(src, dst, "b" if kind is COM else "c")
-
     def _enqueue_send(self, frm: NodeId, send: P.Send):
         msg, dst = send.msg, send.dst
         self.counters[send.bucket] += 1
@@ -217,13 +215,16 @@ class Engine:
             # Local hop: no radio involved, same-instant delivery.
             at, cls = self.now, CLS_ACK
         else:
-            # Role-addressed messages resolve at delivery; charge the
-            # delay as if sent to the current executive when one exists.
-            probe = dst if dst is not None else self._find_ce()
-            if probe is None:  # not `or`: node 0 may hold the role
-                probe = frm
-            at = self.now + self._delay_for(frm, probe, msg)
-            cls = CLS_ACK if priority_class(msg) == 0 else CLS_MSG
+            _, cls, stream = _KINDS[type(msg)]
+            if stream is None:
+                at = self.now + self.scn.d_ack
+            else:
+                # Role-addressed messages resolve at delivery; charge the
+                # delay as if sent to the current executive when one exists.
+                probe = dst if dst is not None else self._find_ce()
+                if probe is None:  # not `or`: node 0 may hold the role
+                    probe = frm
+                at = self.now + self.draws.delay(frm, probe, stream)
         self._launch(at, cls, dst, frm, msg)
 
     def _launch(
@@ -359,8 +360,10 @@ class Engine:
             return
 
         was_active = st.state == ACTIVE
-        out = self._dispatch(st, frm, msg, self._ctx(dst))
         kind = type(msg)
+        # The handler is looked up per call, so a wrapper installed on the
+        # protocol module (bench/tracing.py) sees every delivery.
+        out = getattr(P, _KINDS[kind][0])(st, frm, msg, self._ctx(dst))
         activated_now = kind is COM and not was_active and st.state == ACTIVE
         detail = f"{msg.describe()} from {frm}" if self.collect_trace else ""
         self._apply(dst, out, detail)
@@ -370,11 +373,6 @@ class Engine:
             # The deferred-idle rule: the last settlement confirmation
             # may be what the finished workload was waiting on.
             self._maybe_idle(dst)
-
-    def _dispatch(self, st: NodeState, frm: NodeId, msg: Message, ctx: Ctx) -> Out:
-        # Looked up per call, so a wrapper installed on the protocol
-        # module (bench/tracing.py) sees every delivery.
-        return getattr(P, _HANDLERS[type(msg)])(st, frm, msg, ctx)
 
     def _drop_dark(self, st: NodeState, frm: NodeId, msg: Message):
         # An escrow return edits the sender's handshake record.

@@ -257,16 +257,28 @@ def _word(text: str, lineno: int) -> str:
     return text
 
 
-# [params] key -> (Scenario field, parser of the value text).
+def _num(v: float) -> str:
+    """A time as text that reads back as the same float."""
+    text = f"{v:g}"
+    return text if float(text) == v else repr(v)
+
+
+def _render_delay(d: tuple[float, float]) -> str:
+    lo, hi = d
+    return _num(lo) if lo == hi else f"{_num(lo)}..{_num(hi)}"
+
+
+# [params] key -> (Scenario field, parser of the value text, renderer of
+# the value), in the order render_scenario writes them.
 _PARAMS = {
-    "credit": ("credit_total", _credit),
-    "t_e": ("t_e", _float),
-    "weak-wait": ("weak_wait", _float),
-    "d-detect": ("d_detect", _float),
-    "d-ack": ("d_ack", _float),
-    "delay": ("delay", _delay),
-    "horizon": ("horizon", _float),
-    "choice": ("choice", _word),
+    "credit": ("credit_total", _credit, render_credit),
+    "t_e": ("t_e", _float, _num),
+    "weak-wait": ("weak_wait", _float, _num),
+    "d-detect": ("d_detect", _float, _num),
+    "d-ack": ("d_ack", _float, _num),
+    "delay": ("delay", _delay, _render_delay),
+    "horizon": ("horizon", _float, _num),
+    "choice": ("choice", _word, str),
 }
 
 
@@ -316,7 +328,7 @@ def load_scenario(text: str) -> Scenario:
             key = key.strip()
             if key not in _PARAMS:
                 raise ParseError(f"unknown parameter {key!r}", lineno)
-            name, parse = _PARAMS[key]
+            name, parse, _ = _PARAMS[key]
             if name in params:
                 raise ParseError(f"parameter {key!r} given twice", lineno)
             params[name] = parse(value.strip(), lineno)
@@ -407,26 +419,12 @@ def load_scenario(text: str) -> Scenario:
 # --- rendering ---------------------------------------------------------------
 
 
-def _num(v: float) -> str:
-    """A time as text that reads back as the same float."""
-    text = f"{v:g}"
-    return text if float(text) == v else repr(v)
-
-
 def render_scenario(s: Scenario) -> str:
     lines = [VERSION_LINE, "", "[params]"]
-    lines.append(f"credit = {render_credit(s.credit_total)}")
-    lines.append(f"t_e = {_num(s.t_e)}")
-    lines.append(f"weak-wait = {_num(s.weak_wait)}")
-    lines.append(f"d-detect = {_num(s.d_detect)}")
-    lines.append(f"d-ack = {_num(s.d_ack)}")
-    if s.delay[0] == s.delay[1]:
-        lines.append(f"delay = {_num(s.delay[0])}")
-    else:
-        lines.append(f"delay = {_num(s.delay[0])}..{_num(s.delay[1])}")
-    if s.horizon is not None:
-        lines.append(f"horizon = {_num(s.horizon)}")
-    lines.append(f"choice = {s.choice}")
+    for key, (name, _, render) in _PARAMS.items():
+        value = getattr(s, name)
+        if value is not None:  # an unset horizon
+            lines.append(f"{key} = {render(value)}")
     lines += ["", "[channels]", " ".join(str(c) for c in sorted(s.channels))]
     lines += ["", "[nodes]"]
     for nid in s.nodes():

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 from tcran import cli
-from tcran.errors import BoundsViolation
+from tcran.engine import Engine
+from tcran.errors import BoundsViolation, SafetyViolation
 from tcran.scenario import gen_random_scenario, render_scenario
+from tcran.trace import render_trace
 
 GOLDENS = Path(__file__).resolve().parent.parent / "goldens"
 SEC6 = str(GOLDENS / "sec6.scn")
@@ -108,6 +110,35 @@ def test_modes_are_mutually_exclusive(capsys):
     with pytest.raises(SystemExit) as e:
         run_cli("--scenario", SEC6, "--fuzz", "3")
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "mode, flags, complaint",
+    [
+        ("--replay", ["--seed", "7"], "--seed"),
+        ("--replay", ["--horizon", "3"], "--horizon"),
+        ("--replay", ["--mutate", "a5-keep-inmap"], "--mutate"),
+        ("--replay", ["--trace-out", "again.trace"], "--trace-out"),
+        ("--replay", ["--nodes", "4"], "--nodes"),
+        ("--replay", ["--failure-free"], "--failure-free"),
+        ("--scenario", ["--nodes", "1"], "--nodes"),
+        ("--scenario", ["--failure-free"], "--failure-free"),
+        ("--fuzz", ["--trace-out", "fuzz.trace"], "--trace-out"),
+    ],
+)
+def test_options_the_mode_ignores_exit_2(
+    tmp_path, monkeypatch, capsys, mode, flags, complaint
+):
+    monkeypatch.chdir(tmp_path)
+    trace = tmp_path / "run.trace"
+    assert run_cli("--scenario", SEC6, "--trace-out", str(trace)) == 0
+    capsys.readouterr()
+    target = {"--replay": str(trace), "--scenario": SEC6, "--fuzz": "1"}[mode]
+    assert run_cli(mode, target, *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {complaint} does nothing with {mode}\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.trace"]
 
 
 # --- safety, liveness, bounds ------------------------------------------------------
@@ -263,6 +294,15 @@ def test_fuzz_dumps_failing_seeds(tmp_path, monkeypatch, capsys):
     dumps = sorted(p.name for p in tmp_path.glob("tcran-fail-*"))
     assert any(n.endswith(".scn") for n in dumps)
     assert any(n.endswith(".trace") for n in dumps)
+    # The sweep runs untraced; the dump comes from a traced rerun, which
+    # must log the very run a traced Engine makes of that seed.
+    scn = gen_random_scenario(9, n_nodes=3 + 9 % 28)
+    eng = Engine(scn, 9, mutations=("a5-keep-inmap",))
+    with pytest.raises(SafetyViolation):
+        eng.run()
+    assert eng.trace
+    want = render_trace(render_scenario(scn), 9, eng.trace)
+    assert (tmp_path / "tcran-fail-9.trace").read_bytes() == want.encode()
 
 
 def test_fuzz_rejects_nonpositive_count(capsys):

@@ -1,10 +1,11 @@
-"""Message value objects: wire text, carried credit, delivery priority."""
+"""Message value objects: wire text, carried credit, and the engine's
+_KINDS row for each kind."""
 
 import dataclasses
 
 import pytest
 
-from tcran import core
+from tcran import core, protocol
 from tcran.core import (
     AAcK,
     AcK,
@@ -17,27 +18,29 @@ from tcran.core import (
     SpecialForward,
     SpecialReclaim,
     TM,
-    priority_class,
 )
 from tcran.credit import ZERO, credit
+from tcran.engine import CLS_ACK, CLS_MSG, _KINDS
 
 
 def test_acknowledgements_outrank_all_other_kinds():
-    ack_like = [AcK((1, 1)), AAcK((1, 1))]
-    ordinary = [
-        COM(credit(1, 2)),
-        ImPC(credit(1, 2)),
-        ImP(3),
-        TM("strong"),
-        PaN(4, ZERO, ZERO),
-        NaP(4),
-        SpecialForward(credit(1, 3), 2, (2, 1)),
-        SpecialReclaim(4),
-    ]
-    for m in ack_like:
-        assert priority_class(m) == 0
-    for m in ordinary:
-        assert priority_class(m) == 1
+    # Listed from the module, not from Message.__subclasses__(): a
+    # slots=True dataclass is a second class, and the pre-slots one
+    # stays in that list.
+    kinds = {
+        v
+        for v in vars(core).values()
+        if isinstance(v, type) and issubclass(v, Message) and v is not Message
+    }
+    assert set(_KINDS) == kinds
+    for kind, (handler, cls, stream) in _KINDS.items():
+        assert callable(getattr(protocol, handler)), kind
+        if kind in (AcK, AAcK):
+            assert (cls, stream) == (CLS_ACK, None)
+        else:
+            assert cls == CLS_MSG
+            assert stream == ("b" if kind is COM else "c")
+    assert CLS_ACK < CLS_MSG
 
 
 def test_carried_credit_counts_cargo_not_claims():

@@ -16,7 +16,7 @@ from tcran.core import COM, ImP, NaP, PaN, TM
 from tcran.credit import ZERO, Credit, credit
 from tcran.engine import CLS_MSG, Engine, run_scenario
 from tcran.errors import HorizonExceeded, SafetyViolation
-from tcran.scenario import gen_random_scenario, load_scenario
+from tcran.scenario import Draws, gen_random_scenario, load_scenario
 
 GOLDENS = Path(__file__).resolve().parent.parent / "goldens"
 EXPECTED = json.loads((GOLDENS / "expected.json").read_text())
@@ -506,13 +506,22 @@ def test_role_addressed_send_draws_toward_a_node_zero_executive(monkeypatch):
     # Node 0 starts the run and holds the role when node 1 reports dark
     # node 2, so the PaN's delay comes from the 1 -> 0 stream.
     draws = []
-    delay_for = Engine._delay_for
+    sending = []  # the message type of the send being enqueued
+    enqueue_send, delay = Engine._enqueue_send, Draws.delay
 
-    def spy(self, src, dst, msg):
-        draws.append((src, dst, type(msg)))
-        return delay_for(self, src, dst, msg)
+    def spy_send(self, frm, send):
+        sending.append(type(send.msg))
+        try:
+            return enqueue_send(self, frm, send)
+        finally:
+            sending.pop()
 
-    monkeypatch.setattr(Engine, "_delay_for", spy)
+    def spy_delay(self, src, dst, stream):
+        draws.append((src, dst, sending[-1]))
+        return delay(self, src, dst, stream)
+
+    monkeypatch.setattr(Engine, "_enqueue_send", spy_send)
+    monkeypatch.setattr(Draws, "delay", spy_delay)
     report, _ = run_scenario(load_scenario(NODE_ZERO_EXECUTIVE), seed=1)
     assert [(s, d) for s, d, kind in draws if kind is PaN] == [(1, 0)]
     assert report.terminated == "weak"

@@ -83,7 +83,7 @@ def test_every_param_round_trips_away_from_its_default():
         "horizon": 250.0,
         "choice": "random",
     }
-    assert set(values) == {name for name, _ in _PARAMS.values()}
+    assert set(values) == {name for name, _, _ in _PARAMS.values()}
     defaults = scn()
     assert all(getattr(defaults, k) != v for k, v in values.items())
     s = replace(defaults, **values)
