@@ -5,20 +5,8 @@ protocol bug surfaces at the exact event that introduced it rather than
 as a mysteriously wrong final report.  Nothing here trusts the
 protocol's own bookkeeping beyond the raw fields.
 
-Per event the engine hands over only what the event could have changed.
-Conservation gets the credit held at nodes as a running sum kept from
-per-node local_credit() figures.  The state invariant gets the nodes the
-event touched, and the executive check the nodes that hold the role;
-both take any iterable of NodeState, so the engine passes what it has
-without building a mapping per event.
-The tree height comes from a TreeHeight that the engine tells the
-touched nodes; it redoes depths only under nodes whose tree shape
-(state, parent, dark membership) moved.  tree_height, a walk from every
-in-tree node up to the executive, stays the reference: the announcement
-reads it, and Engine.full_check compares TreeHeight's index, depths and
-height against a rebuild and against it.  Engine.full_check also feeds
-the other checks the full node snapshot (global_credit_sum over every
-node) and compares the engine's caches against that recompute.
+Per event the checks read running figures rather than scan every
+node; Figures owns them and says what keeps them true.
 
 Checked continuously:
   * conservation: the credits physically present at nodes (hold, entry
@@ -37,9 +25,9 @@ against the run's own structural parameters at the end.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable
+from typing import Callable, Collection, Iterable
 
-from .core import NodeId, STRONG, WEAK
+from .core import COM, ImPC, Message, NodeId, STRONG, WEAK
 from .credit import Credit, ZERO, credit_sum, render_credit
 from .errors import BoundsViolation, SafetyViolation
 from .protocol import ACTIVE, PASSIVE, NodeState
@@ -176,9 +164,10 @@ class TreeHeight:
         self._resolve([k for k in under if _in_tree(self.nodes[k])])
         return True
 
-    def stale_parts(self) -> list[str]:
-        """Names of the parts that differ from a rebuild from scratch."""
-        fresh = TreeHeight(self.nodes)
+    def stale_parts(self, fresh: TreeHeight | None = None) -> list[str]:
+        """Names of the parts that differ from a rebuild from scratch,
+        built here unless the caller has one."""
+        fresh = fresh or TreeHeight(self.nodes)
         parts = [
             name
             for name in ("shape", "children", "depth", "levels")
@@ -232,6 +221,106 @@ class TreeHeight:
                 depth[x] = d
                 self._count(d, 1)
                 d = None if d is None else d + 1
+
+
+class Figures:
+    """Every running figure the per-event checks read, kept in one place.
+
+    Per node: its local_credit() (`credit`), and whether it holds the
+    executive role (`executives`), has a role handover in its escrow
+    (`handovers`), is still computing by the `busy` predicate (`busy`)
+    or is off the air (`dark`).  Across nodes: the credit they hold
+    (`held`) and the TreeHeight index behind the tree height (`tree`).
+    Across messages: the credit in flight (`inflight`), the COMs in
+    flight (`coms`) and the role handover parcels in flight
+    (`handover_parcels`).
+
+    The figures stay true by a contract with the caller.  After every
+    event it calls update with every node the event touched: each node a
+    protocol handler was handed, plus each node the caller edited
+    itself.  A handler edits only the NodeState it is given, so an
+    untouched node's figures still hold.  The caller also calls fly(msg,
+    1) when it launches a message and fly(msg, -1) when it delivers one.
+
+    The constructor runs that same update over every node and fly over
+    the given messages, so a fresh instance is the full recompute, and
+    stale_parts compares against one.  The checks that follow a
+    recompute stay independent of it: global_credit_sum and tree_height
+    read the raw node states.
+    """
+
+    def __init__(
+        self,
+        nodes: dict[NodeId, NodeState],
+        busy: Callable[[NodeState], bool],
+        flying: Iterable[Message] = (),
+    ):
+        self.nodes = nodes
+        self.is_busy = busy
+        self.credit: dict[NodeId, Credit] = dict.fromkeys(nodes, ZERO)
+        self.held = ZERO
+        self.executives: set[NodeId] = set()
+        self.handovers: set[NodeId] = set()
+        self.busy: set[NodeId] = set()
+        self.dark: set[NodeId] = set()
+        self.tree = TreeHeight(nodes)
+        self.inflight = ZERO
+        self.coms = self.handover_parcels = 0
+        self.update(nodes)
+        for msg in flying:
+            self.fly(msg, 1)
+
+    def update(self, touched: Collection[NodeId]) -> bool:
+        """Catch up with the touched nodes' edits; True if a tree shape
+        moved."""
+        nodes, credit, is_busy = self.nodes, self.credit, self.is_busy
+        ces, handing, busy, dark = self.executives, self.handovers, self.busy, self.dark
+        for k in touched:
+            st = nodes[k]
+            c, old = st.local_credit(), credit[k]
+            # local_credit returns the hold itself when the other books
+            # are empty, so identity settles most unchanged nodes.
+            if c is not old and c != old:
+                self.held += c - old
+                credit[k] = c
+            # A call in each branch rather than a call of the picked
+            # method: picking builds a bound method, which doubles the cost.
+            ces.add(k) if st.is_ce() else ces.discard(k)
+            handing.add(k) if st.pending and _handing_over(st) else handing.discard(k)
+            busy.add(k) if is_busy(st) else busy.discard(k)
+            dark.add(k) if st.dark else dark.discard(k)
+        return self.tree.update(touched)
+
+    def fly(self, msg: Message, sign: int):
+        """Count a message into flight (sign 1) or out of it (sign -1)."""
+        cargo = msg.carried_credit()
+        # The numerator slot is an exact zero test with no Python-level
+        # call, unlike Fraction.__bool__.
+        if cargo._numerator:
+            # Add or subtract rather than multiply: int * Credit is a
+            # plain Fraction, which every later add would have to convert.
+            if sign > 0:
+                self.inflight += cargo
+            else:
+                self.inflight -= cargo
+        kind = type(msg)
+        if kind is COM:
+            self.coms += sign
+        elif kind is ImPC and msg.handover:
+            self.handover_parcels += sign
+
+    def stale_parts(self, flying: Iterable[Message] = ()) -> list[str]:
+        """Names of the parts that differ from a fresh recompute over the
+        nodes and the messages in flight."""
+        fresh = Figures(self.nodes, self.is_busy, flying)
+        mine = vars(self)
+        # The nodes and the predicate are the same objects on both sides.
+        stale = [k for k, v in vars(fresh).items() if k != "tree" and v != mine[k]]
+        return stale + self.tree.stale_parts(fresh.tree)
+
+
+def _handing_over(st: NodeState) -> bool:
+    return any(rec.msg.handover for rec in st.pending.values())
 
 
 def assert_announcement(

@@ -304,7 +304,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        report = tracefile.replay(text)
+        tf = tracefile.parse_trace(text)
+        report = tracefile.rerun(tf)
     except (ParseError, ValidationError) as e:
         print(f"error: {path}: {e}", file=sys.stderr)
         return EXIT_PARSE
@@ -314,7 +315,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     except SafetyViolation as e:
         print(f"safety violation: {e}", file=sys.stderr)
         return EXIT_SAFETY
-    _emit(args, str(path), tracefile.parse_trace(text).seed, report)
+    _emit(args, str(path), tf.seed, report)
     print("replay: identical")
     return EXIT_OK
 

@@ -14,18 +14,9 @@ timing for the underlying computation.
 The omniscient checker is consulted after every processed event; a run
 that breaks conservation or announces falsely dies on the spot with a
 SafetyViolation rather than producing a quietly wrong report.  Per event
-it sees only what the event could change: the engine records every node
-the event touched (each node a protocol handler was handed, plus the
-nodes the engine itself edits), refreshes per-node caches for those
-alone, and keeps the global figures (credit held at nodes, executives,
-open handovers, busy nodes) as running totals.  A handler mutates only
-the NodeState it is given, so an untouched node's cached figures still
-hold.  The tree height behind the report's height_max comes from a
-checker.TreeHeight told the touched nodes after each event; it redoes
-depths only under a node whose tree shape moved, so an event that leaves
-the shape alone costs one tuple compare per touched node.
-Engine.full_check recomputes every figure from the raw node states and
-demands that the caches agree.
+it reads the running figures of a checker.Figures, which the engine
+tells every node the event touched and every message it launches or
+delivers; that class says what keeps the figures true.
 
 Every event pays the engine's fixed cost, so the per-event path keeps
 four rules.  Trace text (message descriptions, notes, node snapshots)
@@ -167,9 +158,6 @@ class Engine:
         self.seq = 0
         self.now = 0.0
         self.counters: Counter = Counter()
-        self.inflight: Credit = ZERO
-        self.inflight_coms = 0
-        self.inflight_handover = 0
         self.trace: list[str] = []
         self.anomalies: list[str] = []
         self.started = False
@@ -179,21 +167,15 @@ class Engine:
         self.height_max = 0
         self.height_at_announce: int | None = None
         self.peak_dark = 0
-        self._n_dark = 0
         self.events_processed = 0
         self.draws = Draws(scn, seed)
         self._shared_ctx = _context(scn, self.nodes, self.mutations, self.draws)
 
-        # Checker caches, kept current for the nodes in _touched by
-        # _post_event after every event.  A fresh node is passive and holds
-        # nothing, so no node starts in any set or in the tree.
+        # The nodes the current event touched, for Figures.update.  The
+        # busy predicate closes over the runtime map, never the engine.
         self._touched: set[NodeId] = set()
-        self._credit: dict[NodeId, Credit] = dict.fromkeys(self.nodes, ZERO)
-        self._held: Credit = ZERO
-        self._ces: set[NodeId] = set()
-        self._handing_over: set[NodeId] = set()
-        self._busy: set[NodeId] = set()
-        self._tree = checker.TreeHeight(self.nodes)
+        rt = self.rt
+        self.figures = checker.Figures(self.nodes, lambda st: _busy(st, rt[st.id]))
 
         self._push(scn.start_at, CLS_WORLD, Engine._start, ())
         for ev in scn.events:
@@ -230,33 +212,16 @@ class Engine:
     def _launch(
         self, at: float, cls: int, dst: NodeId | None, frm: NodeId, msg: Message
     ):
-        self._count_in_flight(msg, 1)
+        # A message is in flight from its launch until its delivery.
+        self.figures.fly(msg, 1)
         self._push(at, cls, Engine._deliver, (dst, frm, msg))
-
-    def _count_in_flight(self, msg: Message, sign: int):
-        """A message is in flight from its launch until its delivery."""
-        cargo = msg.carried_credit()
-        # The numerator slot is an exact zero test with no Python-level
-        # call, unlike Fraction.__bool__.
-        if cargo._numerator:
-            # Add or subtract rather than multiply: int * Credit is a
-            # plain Fraction, which every later add would have to convert.
-            if sign > 0:
-                self.inflight = self.inflight + cargo
-            else:
-                self.inflight = self.inflight - cargo
-        kind = type(msg)
-        if kind is COM:
-            self.inflight_coms += sign
-        elif kind is ImPC and msg.handover:
-            self.inflight_handover += sign
 
     # --- views ----------------------------------------------------------------
 
     def _find_ce(self) -> NodeId | None:
-        # Mid-event the cache is stale only for nodes touched so far.
+        # Mid-event the figures are stale only for nodes touched so far.
         touched = self._touched
-        holders = [c for c in self._ces if c not in touched]
+        holders = [c for c in self.figures.executives if c not in touched]
         holders += [k for k in touched if self.nodes[k].is_ce()]
         if len(holders) > 1:
             raise SafetyViolation(
@@ -305,7 +270,7 @@ class Engine:
         self.height_at_announce = checker.tree_height(self.nodes)
         checker.assert_announcement(
             self.nodes,
-            self.inflight,
+            self.figures.inflight,
             mode,
             self.scn.credit_total,
             self.now,
@@ -351,7 +316,7 @@ class Engine:
             self.counters["role-requeue"] += 1
             self._push(self.now + self.scn.d_ack, CLS_MSG, Engine._deliver, (None, frm, msg))
             return
-        self._count_in_flight(msg, -1)
+        self.figures.fly(msg, -1)
         self._touched.add(dst)
 
         st = self.nodes[dst]
@@ -425,8 +390,6 @@ class Engine:
         self._touched.add(nid)
         st.dark = not st.dark
         if st.dark:
-            self._n_dark += 1
-            self.peak_dark = max(self.peak_dark, self._n_dark)
             if rt.work_deadline is not None:  # freeze the workload
                 rt.work_left = max(0.0, rt.work_deadline - self.now)
                 rt.work_deadline = None
@@ -435,7 +398,6 @@ class Engine:
             for j in sorted(st.neighbors):
                 self._push(self.now + self.scn.d_detect, CLS_TIMER, Engine._detect, (j, nid))
             return
-        self._n_dark -= 1
         self._trace(nid, "recovered", "")
         out = P.on_recovery(st, self._ctx(nid))
         self._apply(nid, out, "back on air")
@@ -528,14 +490,16 @@ class Engine:
 
     def step(self) -> bool:
         """Process one event; False when the queue has drained."""
-        if not self.queue:
+        queue = self.queue
+        if not queue:
             return False
-        at, _cls, _seq, event, args = heapq.heappop(self.queue)
+        at, _cls, _seq, event, args = queue[0]
         if at > self.horizon:
-            # Leave it popped: everything past the horizon is unreached.
-            self.queue.clear()
+            # Leave it queued: what is past the horizon is never reached,
+            # but a message still on the air stays in flight.
             self.now = self.horizon
             raise HorizonExceeded(f"event at t={at:g} past horizon {self.horizon:g}")
+        heapq.heappop(queue)
         self.now = at
         self.events_processed += 1
         event(self, *args)
@@ -543,101 +507,71 @@ class Engine:
         return True
 
     def _post_event(self):
-        """Bring the checker caches up to date for every touched node,
-        then run the per-event checks, in one pass over those nodes."""
+        """Tell the figures every touched node, then run the per-event
+        checks on them."""
         touched = self._touched
         # Node order, as a full scan meets them.
         order = sorted(touched) if len(touched) > 1 else tuple(touched)
         touched.clear()
-        nodes, rt, cached = self.nodes, self.rt, self._credit
-        ces, handing_over, busy = self._ces, self._handing_over, self._busy
-        states = []
-        for k in order:
-            st = nodes[k]
-            states.append(st)
-            credit, old = st.local_credit(), cached[k]
-            # local_credit returns the hold itself when the other books
-            # are empty, so identity settles most unchanged nodes.
-            if credit is not old and credit != old:
-                self._held += credit - old
-                cached[k] = credit
-            if st.is_ce():
-                ces.add(k)
-            else:
-                ces.discard(k)
-            if st.pending and _handing_over(st):
-                handing_over.add(k)
-            else:
-                handing_over.discard(k)
-            if _busy(st, rt[k]):
-                busy.add(k)
-            else:
-                busy.discard(k)
-        checker.assert_conservation(
-            self._held, self.inflight, self.scn.credit_total, self.now
-        )
+        nodes, fig = self.nodes, self.figures
+        moved = fig.update(order)
         # The state invariant is per node, so an untouched node still
         # satisfies it.
-        checker.assert_state_invariant(states)
-        checker.assert_single_ce(
-            map(nodes.__getitem__, ces),
-            started=self.started,
-            window_open=self.inflight_handover > 0 or bool(handing_over),
+        self._check(
+            fig.held,
+            map(nodes.__getitem__, order),
+            map(nodes.__getitem__, fig.executives),
         )
-        if self._tree.update(order):
-            height = self._tree.height
-            if height > self.height_max:
-                self.height_max = height
+        if moved and fig.tree.height > self.height_max:
+            self.height_max = fig.tree.height
+        if len(fig.dark) > self.peak_dark:
+            self.peak_dark = len(fig.dark)
         # The omniscient termination instant: the moment the last busy
         # condition cleared.  Busy means a node still computing or an
         # activating message on the air; a settled executive watching its
         # books is active in protocol terms but not computing.  The event
         # that ends the final busy stretch is itself that instant, hence
         # the one-event lookback.
-        now_busy = self.inflight_coms > 0 or bool(busy)
+        now_busy = fig.coms > 0 or bool(fig.busy)
         if now_busy or self._was_busy:
             self.last_activity = self.now
         self._was_busy = now_busy
 
     def full_check(self):
-        """Recompute every per-event figure from the raw node states.
+        """Recompute every per-event figure from the raw node states and
+        the messages in the queue.
 
-        Raises AssertionError when a cache disagrees with the recompute
-        (a node changed without being marked touched), and reruns the
-        checks over every node.  Call it between steps; tests do, to
-        cross-check the incremental path.
+        Raises AssertionError when a figure disagrees with the recompute
+        (a node changed without being marked touched, or a message moved
+        without being counted), and reruns the checks over every node.
+        Call it between steps; tests do, to cross-check the incremental
+        path.
         """
-        nodes = self.nodes.values()
-        fresh = {
-            "credit": {n.id: n.local_credit() for n in nodes},
-            "held": checker.global_credit_sum(self.nodes),
-            "executives": {n.id for n in nodes if n.is_ce()},
-            "handovers": {n.id for n in nodes if _handing_over(n)},
-            "busy": {n.id for n in nodes if _busy(n, self.rt[n.id])},
-            "dark": sum(1 for n in nodes if n.dark),
-        }
-        cached = {
-            "credit": self._credit,
-            "held": self._held,
-            "executives": self._ces,
-            "handovers": self._handing_over,
-            "busy": self._busy,
-            "dark": self._n_dark,
-        }
-        stale = [k for k in fresh if fresh[k] != cached[k]]
-        stale += self._tree.stale_parts()
+        flying = [args[2] for *_, event, args in self.queue if event is Engine._deliver]
+        stale = self.figures.stale_parts(flying)
         if stale:
             raise AssertionError(
                 f"t={self.now:g}: stale checker caches: {', '.join(stale)}"
             )
-        checker.assert_conservation(
-            fresh["held"], self.inflight, self.scn.credit_total, self.now
-        )
-        checker.assert_state_invariant(nodes)
+        nodes = self.nodes.values()
+        self._check(checker.global_credit_sum(self.nodes), nodes, nodes)
+
+    def _check(
+        self,
+        held: Credit,
+        states: Iterable[NodeState],
+        executives: Iterable[NodeState],
+    ):
+        """The per-event checks: conservation of the credit held at nodes
+        plus the credit in flight, the state invariant over `states`, and
+        one executive among `executives` unless a handover is open."""
+        fig = self.figures
+        checker.assert_conservation(held, fig.inflight, self.scn.credit_total, self.now)
+        checker.assert_state_invariant(states)
         checker.assert_single_ce(
-            nodes,
+            executives,
             started=self.started,
-            window_open=self.inflight_handover > 0 or bool(fresh["handovers"]),
+            window_open=fig.handover_parcels > 0 or bool(fig.handovers),
         )
 
     def run(self) -> RunReport:
@@ -650,7 +584,7 @@ class Engine:
         return self._report(horizon_hit)
 
     def _report(self, horizon_hit: bool) -> RunReport:
-        final = checker.global_credit_sum(self.nodes, self.inflight)
+        final = checker.global_credit_sum(self.nodes, self.figures.inflight)
         bounds = checker.message_bounds_report(
             dict(self.counters), self._bound_params()
         )
@@ -722,10 +656,6 @@ def _context(
         choose=draws.choice,
         mutations=mutations,
     )
-
-
-def _handing_over(st: NodeState) -> bool:
-    return any(rec.msg.handover for rec in st.pending.values())
 
 
 def _busy(st: NodeState, rt: _Runtime) -> bool:

@@ -116,7 +116,11 @@ def parse_trace(text: str) -> TraceFile:
 
 def replay(text: str) -> RunReport:
     """Re-execute a trace file and verify the event log is identical."""
-    tf = parse_trace(text)
+    return rerun(parse_trace(text))
+
+
+def rerun(tf: TraceFile) -> RunReport:
+    """Re-execute a parsed trace file and verify the event log is identical."""
     scn = load_scenario(tf.scenario_text)
     report, lines = run_scenario(scn, seed=tf.seed, horizon=tf.horizon)
     if lines != tf.lines:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from tcran import cli
+from tcran import trace as tracefile
 from tcran.engine import Engine
 from tcran.errors import BoundsViolation, SafetyViolation
 from tcran.scenario import gen_random_scenario, render_scenario
@@ -200,6 +201,23 @@ def test_trace_round_trip(tmp_path, capsys):
     assert trace.read_text().startswith("# tcran-trace v1")
     assert run_cli("--replay", str(trace)) == 0
     assert "replay: identical" in capsys.readouterr().out
+
+
+def test_replay_parses_the_trace_once(tmp_path, capsys, monkeypatch):
+    trace = tmp_path / "run.trace"
+    assert run_cli("--scenario", SEC6, "--seed", "5", "--trace-out", str(trace)) == 0
+    capsys.readouterr()
+    parses = []
+    parse = tracefile.parse_trace
+
+    def counted(text):
+        parses.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(tracefile, "parse_trace", counted)
+    assert run_cli("--replay", str(trace)) == 0
+    assert len(parses) == 1
+    assert "seed: 5" in capsys.readouterr().out
 
 
 def test_trace_keeps_the_horizon_flag_for_its_replay(tmp_path, capsys):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from tcran import checker
+from tcran import checker, scenario
 from tcran.core import COM, ImP, NaP, PaN, TM
 from tcran.credit import ZERO, Credit, credit
 from tcran.engine import CLS_MSG, Engine, run_scenario
@@ -456,6 +456,12 @@ def test_unknown_mutation_is_refused():
         Engine(golden("sec6"), seed=1, mutations=("a5-keep-in-map",))
 
 
+def test_every_scenario_event_kind_has_a_world_event():
+    # validate accepts exactly EVENT_KINDS, and Engine.__init__ looks each
+    # kind up in _WORLD, so a kind in only one of them fails at set-up.
+    assert set(Engine._WORLD) == set(scenario.EVENT_KINDS)
+
+
 def test_role_addressed_message_waits_for_an_executive():
     # Seed 164 sends role-addressed messages while the executive role is
     # in transit; delivery requeues them until a holder exists.
@@ -540,7 +546,9 @@ def test_step_past_the_horizon_raises():
         while eng.step():
             pass
     assert eng.now == 3.0
-    assert not eng.queue
+    # The late entries stay queued: a message among them is still in
+    # flight.
+    assert eng.queue and all(at > 3.0 for at, *_ in eng.queue)
 
 
 def test_credit_books_stay_exactly_credit():
@@ -551,9 +559,9 @@ def test_credit_books_stay_exactly_credit():
     seen = set()
 
     def books(eng):
-        yield "inflight", eng.inflight
-        yield "held", eng._held
-        yield from (("cache", c) for c in eng._credit.values())
+        yield "inflight", eng.figures.inflight
+        yield "held", eng.figures.held
+        yield from (("cache", c) for c in eng.figures.credit.values())
         for n in eng.nodes.values():
             yield "hold", n.hold
             yield "stranded", n.stranded

@@ -1,23 +1,25 @@
 """The incremental per-event checker against its full recompute.
 
 After every event the engine re-verifies only the nodes that event
-touched and keeps the global figures as running totals.
-Engine.full_check recomputes them all from the raw node states, so
-stepping a corpus with a full check after every step shows that no event
-changes a node the engine did not mark as touched.
+touched and keeps the global figures as running totals in a
+checker.Figures.  Engine.full_check recomputes them all from the raw
+node states and the messages in the queue, so stepping a corpus with a
+full check after every step shows that no event changes a node the
+engine did not mark as touched, or moves a message it did not count.
 """
 
 from pathlib import Path
 
 import pytest
 
+from tcran.core import COM
 from tcran.credit import credit
-from tcran.engine import Engine
+from tcran.engine import CLS_MSG, Engine
 from tcran.errors import HorizonExceeded, SafetyViolation
 from tcran.protocol import KNOWN_MUTATIONS
 from tcran.scenario import gen_random_scenario, load_scenario
 
-from outcomes import GOLDEN_NAMES
+from outcomes import GOLDEN_NAMES, rare
 
 ROOT = Path(__file__).resolve().parent.parent
 REGRESSION_SEEDS = (1006, 2434, 5089)
@@ -46,6 +48,21 @@ def test_goldens_agree_with_full_recompute(name, seed):
 def test_regressions_agree_with_full_recompute(seed):
     text = (ROOT / "tests" / "regressions" / f"fuzz_{seed}.scn").read_text()
     run_checked(Engine(load_scenario(text), seed, collect_trace=False))
+
+
+def test_rare_surrender_paths_agree_with_full_recompute():
+    # Returned handover parcels, a SpecialReclaim and re-sent parcels:
+    # the paths that move the count of handover parcels in flight.
+    parcels = 0
+    for run in rare():
+        eng = Engine(run.scn, run.seed, collect_trace=False)
+        try:
+            while eng.step():
+                eng.full_check()
+                parcels = max(parcels, eng.figures.handover_parcels)
+        except HorizonExceeded:
+            eng.full_check()
+    assert parcels > 0
 
 
 def test_fuzz_corpus_agrees_with_full_recompute():
@@ -97,6 +114,7 @@ def test_mutants_fail_at_the_same_event_with_full_recompute(mutation):
         ("parent", "executives, shape"),
         ("adopt", "shape, children, depth, levels, height"),
         ("cycle", "executives, shape, children, depth, levels"),
+        ("com", "inflight, coms"),
     ],
 )
 def test_edit_behind_the_engines_back_is_caught(edit, stale):
@@ -106,7 +124,8 @@ def test_edit_behind_the_engines_back_is_caught(edit, stale):
     eng.full_check()
     # No event touched the edited node, so only the full recompute can
     # see the edit.  Node 5 is passive and out of the tree; node 4 is an
-    # orphan (its parent 3 is passive), and executive 1 has child 2.
+    # orphan (its parent 3 is passive), and executive 1 has child 2.  A
+    # message queued without _launch was never counted into flight.
     nodes = eng.nodes
     if edit == "hold":
         nodes[5].hold = nodes[5].hold + credit(1, 7)
@@ -114,7 +133,9 @@ def test_edit_behind_the_engines_back_is_caught(edit, stale):
         nodes[5].parent = 5
     elif edit == "adopt":
         nodes[4].parent = 2  # from a flat depth 2 to depth 3
-    else:
+    elif edit == "cycle":
         nodes[1].parent = 2  # a pointer cycle 1 <-> 2, no executive on it
+    else:
+        eng._push(eng.now + 1, CLS_MSG, Engine._deliver, (5, 1, COM(credit(1, 7))))
     with pytest.raises(AssertionError, match=f"stale checker caches: {stale}$"):
         eng.full_check()
