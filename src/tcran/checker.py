@@ -19,7 +19,9 @@ Checked continuously:
 
 Checked at announcement time: the claim must be true of the world, not
 just of the executive's books.  Message-count ceilings are evaluated
-against the run's own structural parameters at the end.
+against the run's own structural parameters at the end, and outcome
+classes the finished run: strong, weak, a bounds or safety failure, or
+silent and why.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Callable, Collection, Iterable
 from .core import COM, ImPC, Message, NodeId, STRONG, WEAK
 from .credit import Credit, ZERO, credit_sum, render_credit
 from .errors import BoundsViolation, SafetyViolation
-from .protocol import ACTIVE, PASSIVE, NodeState
+from .protocol import ACTIVE, PASSIVE, NodeState, blocker
 
 
 def global_credit_sum(
@@ -411,3 +413,91 @@ def assert_bounds(report: dict[str, dict[str, int | bool]]):
     ]
     if bad:
         raise BoundsViolation("; ".join(bad))
+
+
+# --- one run's outcome --------------------------------------------------------
+
+# Why a run ends silent, in order: the first two are read here, the
+# rest are protocol.blocker's names.
+SILENT = (
+    "no-exec",  # no node holds the role
+    "exec-dark",  # the executive is off the air
+    "unsettled",
+    "in-map",  # a creditor entry is left
+    "reclaimable",
+    "short-hold",  # no ledger row, and the hold is below the total
+    "over-count",  # hold + ledger_balance() is above the total
+    "under-count",  # ... or below it
+)
+
+# The outcome of a run that announced strong within its bounds and its
+# horizon.
+STRONG_RUN = (STRONG, "-")
+HORIZON_REACHED = "horizon reached"
+
+
+def outcome(
+    nodes: dict[NodeId, NodeState], total: Credit, report, err
+) -> tuple[str, str]:
+    """A finished run's (class, detail), from its nodes, its credit
+    total, and its RunReport or the SafetyViolation that ended it.
+
+    The classes are strong, weak, bounds (a row of message_bounds_report
+    is exceeded), safety:<words> and silent:<why>, with <why> from
+    SILENT.  A safety class is the violation's first words, at most
+    three, after any "t=...: " prefix and before the first word with a
+    digit, so that one kind of violation makes one class.  A run that
+    reaches the horizon says so in its detail.
+
+    Raises ValueError for a silent run that fits no class: one whose
+    executive's books allow an announcement.
+    """
+    if err is not None:
+        text = str(err)
+        words = text.split(": ", 1)[1] if text.startswith("t=") else text
+        head = []
+        for word in words.split()[:3]:
+            if any(c.isdigit() for c in word):
+                break
+            head.append(word.rstrip(":"))
+        return f"safety:{' '.join(head)}", text
+    assert report is not None
+    try:
+        assert_bounds(report.bounds)
+    except BoundsViolation as e:
+        cls, detail = "bounds", str(e)
+    else:
+        if report.terminated == STRONG:
+            cls, detail = STRONG_RUN
+        elif report.terminated == WEAK:
+            cls = WEAK
+            detail = f"node {report.announcer} at t={report.announce_time:g}"
+        else:
+            cls, detail = _silent(nodes, total)
+    if report.horizon_hit:
+        # A strong run that hits the horizon gets a detail too.
+        detail = HORIZON_REACHED if detail == "-" else f"{detail}; {HORIZON_REACHED}"
+    return cls, detail
+
+
+def _silent(nodes: dict[NodeId, NodeState], total: Credit) -> tuple[str, str]:
+    ces = [st for st in nodes.values() if st.is_ce()]
+    if not ces:
+        return "silent:no-exec", "no node holds the role"
+    (st,) = ces
+    why = "exec-dark" if st.dark else blocker(st, total)
+    books = f"exec {st.id} hold={render_credit(st.hold)}"
+    if why == "in-map":
+        books += f" in_map={_render(st.in_map)}"
+    elif why == "reclaimable":
+        books += f" reclaimable={_render(st.reclaimable)}"
+    elif why in ("over-count", "under-count"):
+        books += f" ledger={render_credit(st.ledger_balance())}"
+    if why is None:
+        raise ValueError(f"a silent run fits no class: {books}")
+    return f"silent:{why}", books
+
+
+def _render(book: dict) -> str:
+    items = (f"{k}: {render_credit(v)}" for k, v in sorted(book.items()))
+    return "{" + ", ".join(items) + "}"

@@ -20,12 +20,11 @@ from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
+from . import checker
 from . import protocol as P
 from . import trace as tracefile
-from .checker import assert_bounds
 from .engine import Engine, RunReport
 from .errors import (
-    BoundsViolation,
     ParseError,
     ReplayDivergence,
     SafetyViolation,
@@ -115,31 +114,37 @@ def _checked_horizon(args: argparse.Namespace) -> float | None:
 
 
 def _execute(scn, seed: int, horizon: float | None, mutations=(), traced=False):
-    """Run one scenario; returns (report|None, trace, safety error|None)."""
+    """Run one scenario; returns (report|None, trace, (class, detail))."""
     eng = Engine(
         scn, seed, horizon=horizon, collect_trace=traced, mutations=mutations
     )
+    report = err = None
     try:
-        return eng.run(), eng.trace, None
+        report = eng.run()
     except SafetyViolation as e:
-        return None, eng.trace, e
+        err = e
+    try:
+        cell = checker.outcome(eng.nodes, scn.credit_total, report, err)
+    except ValueError as e:
+        # The executive's books allow an announcement that has not come:
+        # a run cut by the horizon while a weak deadline is armed, say.
+        cell = "silent", str(e)
+    return report, eng.trace, cell
 
 
-def _verdict(scn, report: RunReport | None, err) -> tuple[str, str] | None:
+def _verdict(scn, report: RunReport | None, cell) -> tuple[str, str] | None:
     """The most serious thing wrong with one run, as (kind, detail)."""
-    if err is not None:
-        return "safety", str(err)
-    assert report is not None
+    cls, detail = cell
+    if cls.startswith("safety:"):
+        return "safety", detail
     if not scn.events and report.terminated is None:
         return "liveness", "failure-free run never announced"
-    try:
-        assert_bounds(report.bounds)
-    except BoundsViolation as e:
-        return "bounds", str(e)
+    if cls == "bounds":
+        return "bounds", detail.removesuffix(f"; {checker.HORIZON_REACHED}")
     return None
 
 
-def _text_report(title: str, seed: int, rep: RunReport) -> str:
+def _text_report(title: str, seed: int, rep: RunReport, cell=None) -> str:
     if rep.terminated:
         outcome = (
             f"{rep.terminated} by node {rep.announcer} at t={rep.announce_time:g}"
@@ -148,10 +153,10 @@ def _text_report(title: str, seed: int, rep: RunReport) -> str:
         outcome = "no announcement (horizon reached)"
     else:
         outcome = "no announcement (network drained)"
-    lines = [
-        f"scenario: {title}",
-        f"seed: {seed}",
-        f"outcome: {outcome}",
+    lines = [f"scenario: {title}", f"seed: {seed}", f"outcome: {outcome}"]
+    if cell not in (None, checker.STRONG_RUN):
+        lines.append("class: " + " ".join(cell))
+    lines += [
         f"ground truth: t={rep.ground_truth:g}",
         f"end of run: t={rep.end_time:g}, {rep.events_processed} events",
         f"tree height: max {rep.height_max}"
@@ -178,19 +183,19 @@ def _text_report(title: str, seed: int, rep: RunReport) -> str:
     return "\n".join(lines)
 
 
-def _machine_report(title: str, seed: int, rep: RunReport) -> str:
-    return json.dumps(
-        {"scenario": title, "seed": seed, "report": asdict(rep)},
-        indent=2,
-        sort_keys=True,
-    )
+def _machine_report(title: str, seed: int, rep: RunReport, cell=None) -> str:
+    doc = {"scenario": title, "seed": seed, "report": asdict(rep)}
+    if cell is not None:
+        doc["class"], doc["detail"] = cell
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _emit(args, title: str, seed: int, rep: RunReport):
+def _emit(args, title: str, seed: int, rep: RunReport, cell=None):
+    """Print the report; a run's (class, detail) joins it unless replayed."""
     if args.report == "machine-readable":
-        print(_machine_report(title, seed, rep))
+        print(_machine_report(title, seed, rep, cell))
     else:
-        print(_text_report(title, seed, rep))
+        print(_text_report(title, seed, rep, cell))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -207,7 +212,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     seed = args.seed if args.seed is not None else 1
     horizon = _checked_horizon(args)
-    report, lines, err = _execute(
+    report, lines, cell = _execute(
         scn, seed, horizon, tuple(args.mutate), traced=bool(args.trace_out)
     )
 
@@ -215,17 +220,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         tracefile.write_trace(args.trace_out, text, seed, lines, horizon)
 
     if report is not None:
-        _emit(args, str(path), seed, report)
-    verdict = _verdict(scn, report, err)
+        _emit(args, str(path), seed, report, cell)
+    verdict = _verdict(scn, report, cell)
     if verdict is None:
         return EXIT_OK
     kind, detail = verdict
     print(f"{kind} violation: {detail}", file=sys.stderr)
     return VERDICT_EXIT[kind]
-
-
-def _fuzz_nodes(seed: int, fixed: int | None) -> int:
-    return fixed if fixed is not None else 3 + seed % 28
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
@@ -245,11 +246,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         seed = base + i
         scn = gen_random_scenario(
             seed,
-            n_nodes=_fuzz_nodes(seed, args.nodes),
+            n_nodes=args.nodes or 3 + seed % 28,
             failure_free=args.failure_free,
         )
-        report, _, err = _execute(scn, seed, horizon, tuple(args.mutate))
-        verdict = _verdict(scn, report, err)
+        report, _, cell = _execute(scn, seed, horizon, tuple(args.mutate))
+        verdict = _verdict(scn, report, cell)
         if verdict:
             kind, detail = verdict
             verdicts[kind] += 1

@@ -1,8 +1,9 @@
 """One table of outcomes for every pinned corpus: tests/outcomes.tsv.
 
 A run ends strong, weak, silent, in a bounds failure or in a safety
-failure.  This module owns the named corpora, how each run is classed,
-and how each corpus is hashed; tests/outcomes.tsv holds the result.
+failure; checker.outcome classes it, as it does for the CLI.  This
+module owns the named corpora and how each corpus is hashed;
+tests/outcomes.tsv holds the result.
 
 The corpora (a "mixed seed" is gen_random_scenario(seed, 3 + seed % 28)):
 
@@ -15,15 +16,15 @@ The corpora (a "mixed seed" is gen_random_scenario(seed, 3 + seed % 28)):
     n60       mixed runs at N = 60, seeds 0..299
     n100      mixed runs at N = 100, seeds 0..149
 
-The classes:
+The classes, from checker.outcome:
 
     strong, weak
     bounds              a row of message_bounds_report is exceeded
     safety:<words>      a SafetyViolation, by its first words
     silent:<why>        no announcement: no-exec or exec-dark, or else
                         protocol.blocker's name for what holds the
-                        executive back at the end of the run (SILENT,
-                        in order)
+                        executive back at the end of the run
+                        (checker.SILENT, in order)
 
 A run outside every class stops the tool with an error.  The table has
 five tab-separated columns: corpus, seed, variant, class and detail.
@@ -62,13 +63,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from tcran import cli
-from tcran.checker import assert_bounds
-from tcran.credit import render_credit
-from tcran.engine import Engine, RunReport
-from tcran.errors import BoundsViolation, SafetyViolation
+from tcran import checker, cli
+from tcran.engine import Engine
+from tcran.errors import SafetyViolation
 from tcran.mattern import run_reference
-from tcran.protocol import KNOWN_MUTATIONS, blocker
+from tcran.protocol import KNOWN_MUTATIONS
 from tcran.scenario import Scenario, gen_random_scenario, load_scenario, render_scenario
 
 TABLE = Path(__file__).resolve().parent / "outcomes.tsv"
@@ -104,20 +103,7 @@ VARIANTS = (
     {"delay": (0.1, 20.0), "weak_wait": 0.0},
 )
 
-# Why a run ends silent, in order: the first two are read here, the
-# rest are protocol.blocker's names.
-SILENT = (
-    "no-exec",  # no node holds the role
-    "exec-dark",  # the executive is off the air
-    "unsettled",
-    "in-map",  # a creditor entry is left
-    "reclaimable",
-    "short-hold",  # no ledger row, and the hold is below the total
-    "over-count",  # hold + ledger_balance() is above the total
-    "under-count",  # ... or below it
-)
-
-STRONG = ("strong", "-")
+STRONG = checker.STRONG_RUN
 
 # (corpus, seed or "sha256" or "counts", variant) -> (class, detail)
 Key = tuple[str, str, str]
@@ -205,7 +191,7 @@ CORPORA = {
 
 
 def play(run: Run, h=None, keyed: bool = False) -> Cell:
-    """Run once and class the outcome.  Given a sha256 object h, the run
+    """Run once and class the outcome with checker.outcome.  Given a sha256 object h, the run
     is traced and its bytes go into h, with its key and reference report
     when keyed."""
     eng = Engine(
@@ -214,8 +200,7 @@ def play(run: Run, h=None, keyed: bool = False) -> Cell:
         collect_trace=h is not None,
         mutations=(run.mutation,) if run.mutation else (),
     )
-    report: RunReport | None = None
-    err: SafetyViolation | None = None
+    report = err = None
     try:
         report = eng.run()
     except SafetyViolation as e:
@@ -235,7 +220,7 @@ def play(run: Run, h=None, keyed: bool = False) -> Cell:
         if keyed and not run.scn.events:
             ref = dataclasses.asdict(run_reference(run.scn, run.seed))
             h.update(f"{json.dumps(ref, sort_keys=True)}\n".encode())
-    return classify(eng, report, err)
+    return checker.outcome(eng.nodes, eng.scn.credit_total, report, err)
 
 
 def _cli_bytes(run: Run) -> bytes:
@@ -254,71 +239,13 @@ def _cli_bytes(run: Run) -> bytes:
         return head.encode() + out.read_bytes()
 
 
-def classify(
-    eng: Engine, report: RunReport | None, err: SafetyViolation | None
-) -> Cell:
-    """The run's (class, detail).  A safety class is the violation's
-    first words, at most three, after any "t=...: " prefix and before
-    the first word with a digit, so that one kind of violation makes one
-    class."""
-    if err is not None:
-        text = str(err)
-        words = text.split(": ", 1)[1] if text.startswith("t=") else text
-        head = []
-        for word in words.split()[:3]:
-            if any(c.isdigit() for c in word):
-                break
-            head.append(word.rstrip(":"))
-        return f"safety:{' '.join(head)}", text
-    assert report is not None
-    try:
-        assert_bounds(report.bounds)
-    except BoundsViolation as e:
-        cls, detail = "bounds", str(e)
-    else:
-        if report.terminated == "strong":
-            cls, detail = STRONG
-        elif report.terminated == "weak":
-            cls = "weak"
-            detail = f"node {report.announcer} at t={report.announce_time:g}"
-        else:
-            cls, detail = _silent(eng)
-    if report.horizon_hit:
-        # A strong run that hits the horizon gets a row too.
-        detail = "horizon reached" if detail == "-" else f"{detail}; horizon reached"
-    return cls, detail
-
-
-def _silent(eng: Engine) -> Cell:
-    ces = [st for st in eng.nodes.values() if st.is_ce()]
-    if not ces:
-        return "silent:no-exec", "no node holds the role"
-    (st,) = ces
-    why = "exec-dark" if st.dark else blocker(st, eng.scn.credit_total)
-    books = f"exec {st.id} hold={render_credit(st.hold)}"
-    if why == "in-map":
-        books += f" in_map={_render(st.in_map)}"
-    elif why == "reclaimable":
-        books += f" reclaimable={_render(st.reclaimable)}"
-    elif why in ("over-count", "under-count"):
-        books += f" ledger={render_credit(st.ledger_balance())}"
-    if why is None:
-        raise ValueError(f"a silent run fits no class: {books}")
-    return f"silent:{why}", books
-
-
-def _render(book: dict) -> str:
-    items = (f"{k}: {render_credit(v)}" for k, v in sorted(book.items()))
-    return "{" + ", ".join(items) + "}"
-
-
 # --- the table ------------------------------------------------------------------
 
 
 def _rank(cls: str) -> tuple:
     kind, _, why = cls.partition(":")
     order = ("strong", "weak", "bounds", "safety", "silent")
-    return order.index(kind), SILENT.index(why) if kind == "silent" else why
+    return order.index(kind), checker.SILENT.index(why) if kind == "silent" else why
 
 
 def compute(name: str) -> dict[Key, Cell]:

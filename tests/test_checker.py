@@ -12,11 +12,13 @@ from tcran.checker import (
     assert_state_invariant,
     global_credit_sum,
     message_bounds_report,
+    outcome,
     tree_height,
     TreeHeight,
 )
 from tcran.core import STRONG, WEAK
 from tcran.credit import ONE, ZERO, credit
+from tcran.engine import RunReport
 from tcran.errors import BoundsViolation, SafetyViolation
 from tcran.protocol import ACTIVE, PASSIVE, NodeState
 
@@ -253,3 +255,114 @@ def test_exceeded_ceiling_raises_with_the_numbers():
     assert not rep["PaN"]["ok"]
     with pytest.raises(BoundsViolation, match="PaN: 1 > 0"):
         assert_bounds(rep)
+
+
+# --- one run's outcome -----------------------------------------------------------
+
+
+def ended(terminated=None, by=None, at=None, horizon_hit=False, counters=()):
+    """A RunReport whose fields checker.outcome reads are given."""
+    return RunReport(
+        terminated=terminated,
+        announce_time=at,
+        announcer=by,
+        end_time=99.0,
+        horizon_hit=horizon_hit,
+        ground_truth=0.0,
+        counters={},
+        height_max=1,
+        height_at_announce=None,
+        final_sum="1",
+        bounds=message_bounds_report(dict(counters), PARAMS),
+        anomalies=[],
+        events_processed=1,
+    )
+
+
+def executive(settled=True, **kw):
+    """Executive 1, settled unless told otherwise, beside passive node 2."""
+    return {1: node(1, parent=1, settled=settled, **kw), 2: node(2, state=PASSIVE)}
+
+
+HALF, QUARTER = credit(1, 2), credit(1, 4)
+BROKE = SafetyViolation("t=4.5: credit sum 11/10 != total 1")
+
+
+# (nodes, report, safety error, the (class, detail) of the run), one
+# row per class.
+OUTCOMES = [
+    (executive(hold=ONE), None, BROKE, ("safety:credit sum", str(BROKE))),
+    (
+        executive(hold=ONE),
+        ended(STRONG, 1, 5.0, counters={"PaN": 1}),
+        None,
+        ("bounds", "PaN: 1 > 0"),
+    ),
+    (
+        executive(hold=ONE),
+        ended(STRONG, 1, 5.0, horizon_hit=True),
+        None,
+        ("strong", "horizon reached"),
+    ),
+    (executive(hold=ONE), ended(WEAK, 1, 63.0), None, ("weak", "node 1 at t=63")),
+    (
+        {2: node(2, parent=1, hold=ONE)},
+        ended(),
+        None,
+        ("silent:no-exec", "no node holds the role"),
+    ),
+    (
+        executive(hold=ONE, dark=True),
+        ended(),
+        None,
+        ("silent:exec-dark", "exec 1 hold=1"),
+    ),
+    (
+        executive(settled=False, hold=credit(1, 10)),
+        ended(horizon_hit=True),
+        None,
+        ("silent:unsettled", "exec 1 hold=1/10; horizon reached"),
+    ),
+    (
+        executive(hold=credit(5, 6), in_map={8: credit(1, 6)}),
+        ended(),
+        None,
+        ("silent:in-map", "exec 1 hold=5/6 in_map={8: 1/6}"),
+    ),
+    (
+        executive(hold=HALF, reclaimable={(2, 3): HALF}),
+        ended(),
+        None,
+        ("silent:reclaimable", "exec 1 hold=1/2 reclaimable={(2, 3): 1/2}"),
+    ),
+    (
+        executive(hold=HALF),
+        ended(),
+        None,
+        ("silent:short-hold", "exec 1 hold=1/2"),
+    ),
+    (
+        executive(hold=credit(3, 4), pu_ledger={(2, 3): (ZERO, HALF)}),
+        ended(),
+        None,
+        ("silent:over-count", "exec 1 hold=3/4 ledger=1/2"),
+    ),
+    (
+        executive(hold=QUARTER, pu_ledger={(2, 3): (ZERO, HALF)}),
+        ended(),
+        None,
+        ("silent:under-count", "exec 1 hold=1/4 ledger=1/2"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "nodes, report, err, cell", OUTCOMES, ids=[cell[0] for *_, cell in OUTCOMES]
+)
+def test_outcome_classes_each_run_with_its_detail(nodes, report, err, cell):
+    assert outcome(nodes, ONE, report, err) == cell
+
+
+def test_a_silent_run_whose_books_allow_an_announcement_fits_no_class():
+    with pytest.raises(ValueError, match="fits no class: exec 1 hold=1$"):
+        outcome(executive(hold=ONE), ONE, ended(), None)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tcran import cli
+from tcran import checker, cli
 from tcran import trace as tracefile
 from tcran.engine import Engine
 from tcran.errors import BoundsViolation, SafetyViolation
@@ -19,6 +19,7 @@ from tcran.trace import render_trace
 GOLDENS = Path(__file__).resolve().parent.parent / "goldens"
 SEC6 = str(GOLDENS / "sec6.scn")
 SEC6_PU = str(GOLDENS / "sec6_pu.scn")
+REGRESSIONS = Path(__file__).resolve().parent / "regressions"
 
 
 def run_cli(*argv):
@@ -53,6 +54,53 @@ def test_machine_report_is_json(capsys):
     assert rep["announcer"] == 2
     assert rep["final_sum"] == "1"
     assert rep["counters"]["COM"] == 8
+
+
+def test_a_strong_run_prints_no_class_line(capsys):
+    assert run_cli("--scenario", SEC6, "--seed", "1") == 0
+    assert "class:" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "path, flags, code, line",
+    [
+        (SEC6_PU, (), 0, "class: weak node 1 at t=63"),
+        (
+            SEC6,
+            ("--horizon", "3"),
+            4,
+            "class: silent:unsettled exec 1 hold=1/10; horizon reached",
+        ),
+        (
+            str(REGRESSIONS / "fuzz_8773.scn"),
+            ("--seed", "8773"),
+            4,
+            "class: silent:in-map exec 10 hold=5/6 in_map={8: 1/6}",
+        ),
+        # Cut while the weak deadline at 63 is armed: the executive's
+        # books allow the announcement that has not come.
+        (
+            SEC6_PU,
+            ("--horizon", "60"),
+            0,
+            "class: silent a silent run fits no class: exec 1 hold=13/20",
+        ),
+    ],
+)
+def test_a_run_that_does_not_end_strong_says_why_after_its_outcome(
+    capsys, path, flags, code, line
+):
+    assert run_cli("--scenario", path, *flags) == code
+    out = capsys.readouterr().out.splitlines()
+    assert out[2].startswith("outcome: ")
+    assert out[3] == line
+
+
+def test_machine_report_carries_the_class_and_detail(capsys):
+    assert run_cli("--scenario", SEC6_PU, "--report", "machine-readable") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["class"], doc["detail"]) == ("weak", "node 1 at t=63")
+    assert doc["report"]["terminated"] == "weak"
 
 
 # --- parse failures --------------------------------------------------------------
@@ -173,9 +221,31 @@ def test_bounds_verdict_maps_to_exit_5(monkeypatch, capsys):
     def tripped(_bounds):
         raise BoundsViolation("COM: 99 > 1")
 
-    monkeypatch.setattr(cli, "assert_bounds", tripped)
+    monkeypatch.setattr(checker, "assert_bounds", tripped)
     assert run_cli("--scenario", SEC6) == 5
     assert "bounds violation: COM: 99 > 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, code, err",
+    [
+        # A failure-free run that never announced is a liveness failure
+        # first.
+        (SEC6, 4, "liveness violation: failure-free run never announced\n"),
+        (SEC6_PU, 5, "bounds violation: COM: 99 > 1\n"),
+    ],
+)
+def test_a_run_cut_by_the_horizon_over_a_bound_keeps_its_stderr_line(
+    monkeypatch, capsys, path, code, err
+):
+    def tripped(_bounds):
+        raise BoundsViolation("COM: 99 > 1")
+
+    monkeypatch.setattr(checker, "assert_bounds", tripped)
+    assert run_cli("--scenario", path, "--horizon", "3") == code
+    captured = capsys.readouterr()
+    assert "\nclass: bounds COM: 99 > 1; horizon reached\n" in captured.out
+    assert captured.err == err
 
 
 # --- horizon plumbing ---------------------------------------------------------------
