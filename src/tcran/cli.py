@@ -217,7 +217,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
 
     if args.trace_out:
-        tracefile.write_trace(args.trace_out, text, seed, lines, horizon)
+        tracefile.write_trace(
+            args.trace_out, text, seed, lines, horizon, args.mutate
+        )
 
     if report is not None:
         _emit(args, str(path), seed, report, cell)
@@ -264,7 +266,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             scn_path = Path(f"tcran-fail-{seed}.scn")
             scn_path.write_text(text)
             tracefile.write_trace(
-                f"tcran-fail-{seed}.trace", text, seed, lines, horizon
+                f"tcran-fail-{seed}.trace", text, seed, lines, horizon, args.mutate
             )
             print(
                 f"violation ({kind}) at seed {seed}: {detail}\n"

@@ -4,12 +4,16 @@ A trace file embeds the scenario text verbatim, so replaying needs only
 the file itself.  Replay re-executes the run and demands a line-identical
 event log; any divergence is an error, because with exact rationals and
 seeded randomness there is nothing platform-dependent left to excuse.
+A run that ended in a safety violation replays to the same violation
+once its recorded lines compare equal.
 
 Layout::
 
     # tcran-trace v1
     seed = 7
     horizon = 1000        (only present when the run overrode the scenario)
+    mutate = a5-keep-inmap,c2-skip-hold-check
+                          (only present when the run had mutations on)
     --- scenario ---
     <scenario text, verbatim>
     --- trace ---
@@ -21,9 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
-from .engine import RunReport, run_scenario
+from .engine import Engine, RunReport
 from .errors import ParseError, ReplayDivergence
+from .protocol import KNOWN_MUTATIONS
 from .scenario import _float, _int, _num, check_time, load_scenario
 
 HEADER = "# tcran-trace v1"
@@ -38,14 +44,21 @@ class TraceFile:
     horizon: float | None
     scenario_text: str
     lines: list[str]
+    mutations: tuple[str, ...] = ()
 
 
 def render_trace(
-    scenario_text: str, seed: int, lines: list[str], horizon: float | None = None
+    scenario_text: str,
+    seed: int,
+    lines: list[str],
+    horizon: float | None = None,
+    mutations: Iterable[str] = (),
 ) -> str:
     parts = [HEADER, f"seed = {seed}"]
     if horizon is not None:
         parts.append(f"horizon = {_num(horizon)}")
+    if mutations:
+        parts.append(f"mutate = {','.join(sorted(mutations))}")
     parts.append(_SCN_MARK)
     parts.append(scenario_text.rstrip("\n"))
     parts.append(_TRACE_MARK)
@@ -60,8 +73,11 @@ def write_trace(
     seed: int,
     lines: list[str],
     horizon: float | None = None,
+    mutations: Iterable[str] = (),
 ):
-    Path(path).write_text(render_trace(scenario_text, seed, lines, horizon))
+    Path(path).write_text(
+        render_trace(scenario_text, seed, lines, horizon, mutations)
+    )
 
 
 def parse_trace(text: str) -> TraceFile:
@@ -70,6 +86,7 @@ def parse_trace(text: str) -> TraceFile:
         raise ParseError(f"expected {HEADER!r} header", 1)
     seed: int | None = None
     horizon: float | None = None
+    mutations: tuple[str, ...] = ()
     seen: set[str] = set()
     i = 1
     while i < len(lines) and lines[i].strip() != _SCN_MARK:
@@ -85,6 +102,11 @@ def parse_trace(text: str) -> TraceFile:
         elif key == "horizon":
             horizon = _float(value, i + 1)
             check_time("horizon", horizon)
+        elif key == "mutate":
+            mutations = tuple(name.strip() for name in value.split(","))
+            unknown = [name for name in mutations if name not in KNOWN_MUTATIONS]
+            if unknown:
+                raise ParseError(f"unknown mutation {unknown[0]!r}", i + 1)
         else:
             raise ParseError(f"unknown trace field {key!r}", i + 1)
         i += 1
@@ -111,6 +133,7 @@ def parse_trace(text: str) -> TraceFile:
         horizon=horizon,
         scenario_text="\n".join(scn_lines) + "\n",
         lines=body,
+        mutations=mutations,
     )
 
 
@@ -120,17 +143,24 @@ def replay(text: str) -> RunReport:
 
 
 def rerun(tf: TraceFile) -> RunReport:
-    """Re-execute a parsed trace file and verify the event log is identical."""
+    """Re-execute a parsed trace file and verify the event log is identical.
+
+    A run that raises, a SafetyViolation say, is compared too: a
+    divergence replaces the error, and a match lets it go on.
+    """
     scn = load_scenario(tf.scenario_text)
-    report, lines = run_scenario(scn, seed=tf.seed, horizon=tf.horizon)
-    if lines != tf.lines:
-        for k, (a, b) in enumerate(zip(tf.lines, lines)):
-            if a != b:
-                raise ReplayDivergence(
-                    f"trace line {k + 1}: recorded {a!r}, replay produced {b!r}"
-                )
-        raise ReplayDivergence(
-            f"trace length changed: recorded {len(tf.lines)} lines, "
-            f"replay produced {len(lines)}"
-        )
-    return report
+    eng = Engine(scn, tf.seed, horizon=tf.horizon, mutations=tf.mutations)
+    try:
+        return eng.run()
+    finally:
+        lines = eng.trace
+        if lines != tf.lines:
+            for k, (a, b) in enumerate(zip(tf.lines, lines)):
+                if a != b:
+                    raise ReplayDivergence(
+                        f"trace line {k + 1}: recorded {a!r}, replay produced {b!r}"
+                    )
+            raise ReplayDivergence(
+                f"trace length changed: recorded {len(tf.lines)} lines, "
+                f"replay produced {len(lines)}"
+            )

@@ -389,8 +389,42 @@ def test_fuzz_dumps_failing_seeds(tmp_path, monkeypatch, capsys):
     with pytest.raises(SafetyViolation):
         eng.run()
     assert eng.trace
-    want = render_trace(render_scenario(scn), 9, eng.trace)
+    want = render_trace(render_scenario(scn), 9, eng.trace, None, ["a5-keep-inmap"])
     assert (tmp_path / "tcran-fail-9.trace").read_bytes() == want.encode()
+
+
+def _dump_a_failing_seed(tmp_path, monkeypatch, capsys) -> Path:
+    """The trace that a mutated sweep dumps for seed 9, which trips the
+    conservation check at t=5.8."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("--fuzz", "1", "--seed", "9", "--mutate", "a5-keep-inmap") == 3
+    capsys.readouterr()
+    return tmp_path / "tcran-fail-9.trace"
+
+
+def test_a_mutated_fuzz_dump_replays_to_its_violation(tmp_path, monkeypatch, capsys):
+    trace = _dump_a_failing_seed(tmp_path, monkeypatch, capsys)
+    assert "\nmutate = a5-keep-inmap\n" in trace.read_text()
+    assert run_cli("--replay", str(trace)) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "safety violation: t=5.8: credit sum 19/18 != total 1\n"
+    assert captured.out == ""
+
+
+def test_a_failing_run_whose_recorded_line_was_edited_diverges(
+    tmp_path, monkeypatch, capsys
+):
+    trace = _dump_a_failing_seed(tmp_path, monkeypatch, capsys)
+    head, body = trace.read_text().split("--- trace ---\n")
+    lines = body.splitlines()
+    assert lines[1] == "0|1|A2|fanout|hold=1/3"
+    lines[1] = "0|1|A2|fanout|hold=2/3"
+    trace.write_text(head + "--- trace ---\n" + "\n".join(lines) + "\n")
+    assert run_cli("--replay", str(trace)) == 6
+    assert capsys.readouterr().err == (
+        "replay divergence: trace line 2: recorded '0|1|A2|fanout|hold=2/3', "
+        "replay produced '0|1|A2|fanout|hold=1/3'\n"
+    )
 
 
 def test_fuzz_rejects_nonpositive_count(capsys):

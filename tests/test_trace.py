@@ -29,6 +29,10 @@ def sec6_trace() -> str:
          "line 3: repeated trace field 'seed'"),
         (lambda t: t.replace("seed = 1", "seed = 1\nhorizon = 50\nhorizon = 100"),
          ParseError, "line 4: repeated trace field 'horizon'"),
+        (lambda t: t.replace("seed = 1", "seed = 1\nmutate = a5-keep-inmap,bogus"),
+         ParseError, "line 3: unknown mutation 'bogus'"),
+        (lambda t: t.replace("seed = 1", "seed = 1\nmutate ="),
+         ParseError, "line 3: unknown mutation ''"),
         (lambda t: t.split("--- scenario ---")[0], ParseError,
          "missing '--- scenario ---'"),
         (lambda t: t.split("--- trace ---")[0], ParseError, "missing '--- trace ---'"),
@@ -42,3 +46,17 @@ def sec6_trace() -> str:
 def test_malformed_trace_is_refused_with_its_reason(mangle, error, message):
     with pytest.raises(error, match=message):
         tracefile.replay(mangle(sec6_trace()))
+
+
+def test_mutations_are_recorded_sorted_and_read_back():
+    mutations = ("c2-skip-hold-check", "a5-keep-inmap")
+    text = tracefile.render_trace(SEC6, 1, ["0|1|A1"], 3.0, mutations)
+    assert text.splitlines()[1:4] == [
+        "seed = 1",
+        "horizon = 3",
+        "mutate = a5-keep-inmap,c2-skip-hold-check",
+    ]
+    tf = tracefile.parse_trace(text)
+    assert (tf.seed, tf.horizon, tf.lines) == (1, 3.0, ["0|1|A1"])
+    assert sorted(tf.mutations) == sorted(mutations)
+    assert "mutate" not in tracefile.render_trace(SEC6, 1, ["0|1|A1"])
