@@ -30,7 +30,7 @@ from collections import Counter
 from typing import Callable, Collection, Iterable
 
 from .core import COM, ImPC, Message, NodeId, STRONG, WEAK
-from .credit import Credit, ZERO, credit_sum, render_credit
+from .credit import Credit, ZERO, render_credit
 from .errors import BoundsViolation, SafetyViolation
 from .protocol import ACTIVE, PASSIVE, NodeState, blocker
 
@@ -38,7 +38,14 @@ from .protocol import ACTIVE, PASSIVE, NodeState, blocker
 def global_credit_sum(
     nodes: dict[NodeId, NodeState], inflight: Credit = ZERO
 ) -> Credit:
-    return credit_sum(n.local_credit() for n in nodes.values()) + inflight
+    total = inflight
+    for n in nodes.values():
+        c = n.local_credit()
+        # Most nodes hold nothing; the numerator slot is an exact zero
+        # test with no Python-level call, unlike Fraction.__bool__.
+        if c._numerator:
+            total = total + c
+    return total
 
 
 def assert_conservation(held: Credit, inflight: Credit, total: Credit, when: float):
