@@ -424,8 +424,8 @@ def assert_bounds(report: dict[str, dict[str, int | bool]]):
 
 # --- one run's outcome --------------------------------------------------------
 
-# Why a run ends silent, in order: the first two are read here, the
-# rest are protocol.blocker's names.
+# Why a run ends silent, in order: the first two and the last are read
+# here, the rest are protocol.blocker's names.
 SILENT = (
     "no-exec",  # no node holds the role
     "exec-dark",  # the executive is off the air
@@ -435,6 +435,7 @@ SILENT = (
     "short-hold",  # no ledger row, and the hold is below the total
     "over-count",  # hold + ledger_balance() is above the total
     "under-count",  # ... or below it
+    "weak-armed",  # the books allow an announcement that has not come
 )
 
 # The outcome of a run that announced strong within its bounds and its
@@ -455,9 +456,6 @@ def outcome(
     three, after any "t=...: " prefix and before the first word with a
     digit, so that one kind of violation makes one class.  A run that
     reaches the horizon says so in its detail.
-
-    Raises ValueError for a silent run that fits no class: one whose
-    executive's books allow an announcement.
     """
     if err is not None:
         text = str(err)
@@ -492,7 +490,7 @@ def _silent(nodes: dict[NodeId, NodeState], total: Credit) -> tuple[str, str]:
     if not ces:
         return "silent:no-exec", "no node holds the role"
     (st,) = ces
-    why = "exec-dark" if st.dark else blocker(st, total)
+    why = "exec-dark" if st.dark else (blocker(st, total) or "weak-armed")
     books = f"exec {st.id} hold={render_credit(st.hold)}"
     if why == "in-map":
         books += f" in_map={_render(st.in_map)}"
@@ -500,8 +498,8 @@ def _silent(nodes: dict[NodeId, NodeState], total: Credit) -> tuple[str, str]:
         books += f" reclaimable={_render(st.reclaimable)}"
     elif why in ("over-count", "under-count"):
         books += f" ledger={render_credit(st.ledger_balance())}"
-    if why is None:
-        raise ValueError(f"a silent run fits no class: {books}")
+    elif why == "weak-armed" and st.weak_deadline is not None:
+        books += f" weak_deadline={st.weak_deadline:g}"
     return f"silent:{why}", books
 
 

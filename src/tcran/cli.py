@@ -23,7 +23,7 @@ from pathlib import Path
 from . import checker
 from . import protocol as P
 from . import trace as tracefile
-from .engine import Engine, RunReport
+from .engine import Run, RunReport, run_scenario
 from .errors import (
     ParseError,
     ReplayDivergence,
@@ -113,31 +113,12 @@ def _checked_horizon(args: argparse.Namespace) -> float | None:
     return args.horizon
 
 
-def _execute(scn, seed: int, horizon: float | None, mutations=(), traced=False):
-    """Run one scenario; returns (report|None, trace, (class, detail))."""
-    eng = Engine(
-        scn, seed, horizon=horizon, collect_trace=traced, mutations=mutations
-    )
-    report = err = None
-    try:
-        report = eng.run()
-    except SafetyViolation as e:
-        err = e
-    try:
-        cell = checker.outcome(eng.nodes, scn.credit_total, report, err)
-    except ValueError as e:
-        # The executive's books allow an announcement that has not come:
-        # a run cut by the horizon while a weak deadline is armed, say.
-        cell = "silent", str(e)
-    return report, eng.trace, cell
-
-
-def _verdict(scn, report: RunReport | None, cell) -> tuple[str, str] | None:
+def _verdict(run: Run) -> tuple[str, str] | None:
     """The most serious thing wrong with one run, as (kind, detail)."""
-    cls, detail = cell
+    cls, detail = run.cell
     if cls.startswith("safety:"):
         return "safety", detail
-    if not scn.events and report.terminated is None:
+    if not run.engine.scn.events and run.report.terminated is None:
         return "liveness", "failure-free run never announced"
     if cls == "bounds":
         return "bounds", detail.removesuffix(f"; {checker.HORIZON_REACHED}")
@@ -212,18 +193,18 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     seed = args.seed if args.seed is not None else 1
     horizon = _checked_horizon(args)
-    report, lines, cell = _execute(
-        scn, seed, horizon, tuple(args.mutate), traced=bool(args.trace_out)
+    run = run_scenario(
+        scn, seed, horizon, tuple(args.mutate), collect_trace=bool(args.trace_out)
     )
 
     if args.trace_out:
         tracefile.write_trace(
-            args.trace_out, text, seed, lines, horizon, args.mutate
+            args.trace_out, text, seed, run.engine.trace, horizon, args.mutate
         )
 
-    if report is not None:
-        _emit(args, str(path), seed, report, cell)
-    verdict = _verdict(scn, report, cell)
+    if run.report is not None:
+        _emit(args, str(path), seed, run.report, run.cell)
+    verdict = _verdict(run)
     if verdict is None:
         return EXIT_OK
     kind, detail = verdict
@@ -251,17 +232,15 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             n_nodes=args.nodes or 3 + seed % 28,
             failure_free=args.failure_free,
         )
-        report, _, cell = _execute(scn, seed, horizon, tuple(args.mutate))
-        verdict = _verdict(scn, report, cell)
+        run = run_scenario(scn, seed, horizon, tuple(args.mutate), collect_trace=False)
+        verdict = _verdict(run)
         if verdict:
             kind, detail = verdict
             verdicts[kind] += 1
             failures.append((seed, kind, detail))
             # The engine is deterministic: a traced rerun of the seed logs
             # the very run that just failed.
-            _, lines, _ = _execute(
-                scn, seed, horizon, tuple(args.mutate), traced=True
-            )
+            lines = run_scenario(scn, seed, horizon, tuple(args.mutate)).engine.trace
             text = render_scenario(scn)
             scn_path = Path(f"tcran-fail-{seed}.scn")
             scn_path.write_text(text)

@@ -663,15 +663,39 @@ def _busy(st: NodeState, rt: _Runtime) -> bool:
     return st.state == ACTIVE and (rt.work_deadline is not None or rt.work_left > 0.0)
 
 
+@dataclass(frozen=True)
+class Run:
+    """One finished run: the Engine it ran (its nodes, trace and
+    full_check), its report or the SafetyViolation that ended it, and
+    its (class, detail) from checker.outcome."""
+
+    engine: Engine
+    report: RunReport | None
+    violation: SafetyViolation | None
+    cell: tuple[str, str]
+
+
 def run_scenario(
     scn: Scenario,
     seed: int,
     horizon: float | None = None,
     mutations: tuple[str, ...] = (),
     collect_trace: bool = True,
-) -> tuple[RunReport, list[str]]:
-    """One-shot convenience wrapper: build an Engine and run it."""
+) -> Run:
+    """Build an Engine, run it and class how it ended.
+
+    A SafetyViolation ends the run and comes back as Run.violation; it
+    is not raised.
+    """
     eng = Engine(
         scn, seed, horizon=horizon, collect_trace=collect_trace, mutations=mutations
     )
-    return eng.run(), eng.trace
+    try:
+        report = eng.run()
+    except SafetyViolation as e:
+        # Returned from the handler, so that no local of this frame, which
+        # the violation's traceback holds, keeps the violation: the engine
+        # is freed by reference counting alone.
+        return Run(eng, None, e, checker.outcome(eng.nodes, scn.credit_total, None, e))
+    cell = checker.outcome(eng.nodes, scn.credit_total, report, None)
+    return Run(eng, report, None, cell)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .engine import Engine, RunReport
+from .engine import RunReport, run_scenario
 from .errors import ParseError, ReplayDivergence
 from .protocol import KNOWN_MUTATIONS
 from .scenario import _float, _int, _num, check_time, load_scenario
@@ -145,22 +145,22 @@ def replay(text: str) -> RunReport:
 def rerun(tf: TraceFile) -> RunReport:
     """Re-execute a parsed trace file and verify the event log is identical.
 
-    A run that raises, a SafetyViolation say, is compared too: a
-    divergence replaces the error, and a match lets it go on.
+    A run that ends in a SafetyViolation is compared too: a divergence
+    replaces the violation, and a match raises it.
     """
     scn = load_scenario(tf.scenario_text)
-    eng = Engine(scn, tf.seed, horizon=tf.horizon, mutations=tf.mutations)
-    try:
-        return eng.run()
-    finally:
-        lines = eng.trace
-        if lines != tf.lines:
-            for k, (a, b) in enumerate(zip(tf.lines, lines)):
-                if a != b:
-                    raise ReplayDivergence(
-                        f"trace line {k + 1}: recorded {a!r}, replay produced {b!r}"
-                    )
-            raise ReplayDivergence(
-                f"trace length changed: recorded {len(tf.lines)} lines, "
-                f"replay produced {len(lines)}"
-            )
+    run = run_scenario(scn, tf.seed, tf.horizon, tf.mutations)
+    lines = run.engine.trace
+    if lines != tf.lines:
+        for k, (a, b) in enumerate(zip(tf.lines, lines)):
+            if a != b:
+                raise ReplayDivergence(
+                    f"trace line {k + 1}: recorded {a!r}, replay produced {b!r}"
+                )
+        raise ReplayDivergence(
+            f"trace length changed: recorded {len(tf.lines)} lines, "
+            f"replay produced {len(lines)}"
+        )
+    if run.violation is not None:
+        raise run.violation
+    return run.report

@@ -1,7 +1,8 @@
 """One table of outcomes for every pinned corpus: tests/outcomes.tsv.
 
 A run ends strong, weak, silent, in a bounds failure or in a safety
-failure; checker.outcome classes it, as it does for the CLI.  This
+failure; engine.run_scenario runs it and classes it with
+checker.outcome, as it does for the CLI.  This
 module owns the named corpora and how each corpus is hashed;
 tests/outcomes.tsv holds the result.
 
@@ -23,16 +24,16 @@ The classes, from checker.outcome:
     safety:<words>      a SafetyViolation, by its first words
     silent:<why>        no announcement: no-exec or exec-dark, or else
                         protocol.blocker's name for what holds the
-                        executive back at the end of the run
-                        (checker.SILENT, in order)
+                        executive back at the end of the run, or
+                        weak-armed when nothing does (checker.SILENT,
+                        in order)
 
-A run outside every class stops the tool with an error.  The table has
-five tab-separated columns: corpus, seed, variant, class and detail.
-Each run that does not end strong has a row, and so has a strong run
-that reaches the horizon.  Each corpus has a
-"sha256" line and "counts" lines in the seed column: the hash covers
-every trace and every report or violation text of the corpus, and the
-counts give the runs of each class.  identity and rare hash each run's
+The table has five tab-separated columns: corpus, seed, variant, class
+and detail.  Each run that does not end strong has a row, and so has a
+strong run that reaches the horizon.  Each corpus has a "sha256" line
+and "counts" lines in the seed column: the hash covers every trace and
+every report or violation text of the corpus, and the counts give the
+runs of each class.  identity and rare hash each run's
 trace and outcome alone (for a mutation: the exit code, stderr and trace
 file of the CLI run) and count all their runs on one line.  The other
 corpora also hash each run's "{variant}|{seed}" key and, for a run
@@ -64,8 +65,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from tcran import checker, cli
-from tcran.engine import Engine
-from tcran.errors import SafetyViolation
+from tcran.engine import run_scenario
 from tcran.mattern import run_reference
 from tcran.protocol import KNOWN_MUTATIONS
 from tcran.scenario import Scenario, gen_random_scenario, load_scenario, render_scenario
@@ -191,36 +191,28 @@ CORPORA = {
 
 
 def play(run: Run, h=None, keyed: bool = False) -> Cell:
-    """Run once and class the outcome with checker.outcome.  Given a sha256 object h, the run
-    is traced and its bytes go into h, with its key and reference report
-    when keyed."""
-    eng = Engine(
-        run.scn,
-        run.seed,
-        collect_trace=h is not None,
-        mutations=(run.mutation,) if run.mutation else (),
-    )
-    report = err = None
-    try:
-        report = eng.run()
-    except SafetyViolation as e:
-        err = e
+    """Run once through engine.run_scenario and return its (class, detail).
+    Given a sha256 object h, the run is traced and its bytes go into h,
+    with its key and reference report when keyed."""
+    mutations = (run.mutation,) if run.mutation else ()
+    traced = h is not None
+    ended = run_scenario(run.scn, run.seed, mutations=mutations, collect_trace=traced)
     if h is not None:
         if keyed:
             h.update(f"{run.variant}|{run.seed}\n".encode())
         if run.mutation:
             h.update(_cli_bytes(run))
         else:
-            if err is not None:
-                outcome = f"safety violation: {err}"
+            if ended.violation is not None:
+                outcome = f"safety violation: {ended.violation}"
             else:
-                outcome = json.dumps(dataclasses.asdict(report), sort_keys=True)
-            h.update("\n".join(eng.trace).encode())
+                outcome = json.dumps(dataclasses.asdict(ended.report), sort_keys=True)
+            h.update("\n".join(ended.engine.trace).encode())
             h.update(f"\n{outcome}\n".encode())
         if keyed and not run.scn.events:
             ref = dataclasses.asdict(run_reference(run.scn, run.seed))
             h.update(f"{json.dumps(ref, sort_keys=True)}\n".encode())
-    return checker.outcome(eng.nodes, eng.scn.credit_total, report, err)
+    return ended.cell
 
 
 def _cli_bytes(run: Run) -> bytes:
@@ -255,10 +247,7 @@ def compute(name: str) -> dict[Key, Cell]:
     rows: dict[Key, Cell] = {}
     counts: defaultdict[str, Counter] = defaultdict(Counter)
     for run in corpus.runs():
-        try:
-            cell = play(run, h, corpus.keyed)
-        except ValueError as e:
-            raise ValueError(f"{name} {run.seed} {run.variant}: {e}") from e
+        cell = play(run, h, corpus.keyed)
         if cell != STRONG:
             rows[(name, str(run.seed), run.variant)] = cell
         counts[run.variant if corpus.keyed else "-"][cell[0]] += 1

@@ -35,8 +35,7 @@ from pathlib import Path
 from typing import Iterator
 
 from tcran import engine, protocol
-from tcran.engine import Engine
-from tcran.errors import SafetyViolation
+from tcran.engine import run_scenario
 from tcran.scenario import Scenario, load_scenario
 
 from outcomes import identity, mixed, rare
@@ -76,10 +75,6 @@ UNREACHED = frozenset(
         'protocol.on_pan | if not st.is_ce(): > raise NotChiefExecutive(f"node {st.id} got a PaN without the role")',
         # A raise on input the scenario parser and the engine never make.
         'engine.Engine.__init__ | if unknown: > raise ValueError(f"unknown mutations {unknown}")',
-        # The entry point for tests and the benchmark, which the corpus
-        # does not call.
-        'engine.run_scenario | eng = Engine(',
-        'engine.run_scenario | return eng.run(), eng.trace',
         # A SpecialReclaim that reaches the executive after it announced.
         # No run of the wide corpus takes it, and no argument rules it
         # out.
@@ -192,12 +187,10 @@ def reached_lines(runs: Iterator[Run]) -> dict[str, set[int]]:
     sys.settrace(global_)
     try:
         for scn, seed, mutations, traced in runs:
-            eng = Engine(scn, seed, collect_trace=traced, mutations=mutations)
-            try:
-                eng.run()
-                eng.full_check()
-            except SafetyViolation:
-                pass  # mutation bait and pinned findings end this way
+            run = run_scenario(scn, seed, mutations=mutations, collect_trace=traced)
+            # Mutation bait and pinned findings end in a violation.
+            if run.violation is None:
+                run.engine.full_check()
     finally:
         sys.settrace(outer)
     return files

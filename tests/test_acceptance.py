@@ -8,6 +8,7 @@ sweep inside two minutes.
 """
 
 import json
+import re
 import time
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -19,7 +20,6 @@ from tcran import trace as tracefile
 from tcran.checker import assert_bounds
 from tcran.credit import ONE, credit_sum
 from tcran.engine import Engine, run_scenario
-from tcran.errors import SafetyViolation
 from tcran.mattern import run_reference
 from tcran.scenario import gen_random_scenario, load_scenario
 
@@ -52,21 +52,21 @@ def mixed_corpus():
     runs, violations = [], []
     for seed in range(FUZZ_RUNS):
         scn = gen_random_scenario(seed, n_nodes=3 + seed % 28)
-        try:
-            rep, _ = run_scenario(scn, seed, collect_trace=False)
-        except SafetyViolation as e:
-            violations.append((seed, str(e)))
-            continue
-        runs.append((seed, scn, rep))
+        run = run_scenario(scn, seed, collect_trace=False)
+        if run.violation is None:
+            runs.append((seed, scn, run.report))
+        else:
+            violations.append((seed, str(run.violation)))
     return runs, violations, time.monotonic() - t0
 
 
 def test_criterion_1_walkthrough_credit_sequence():
     with criterion(1, "six-node walkthrough reproduces the exact credit flow"):
         t0 = time.monotonic()
-        rep, trace = run_scenario(golden("sec6"), seed=1)
+        run = run_scenario(golden("sec6"), seed=1)
         elapsed = time.monotonic() - t0
-        text = "\n".join(trace)
+        rep = run.report
+        text = "\n".join(run.engine.trace)
         # initiator keeps exactly a tenth, grants the other nine
         assert "0|1|A2|fanout|hold=1/10" in text
         assert "COM(9/10) from 1 activated" in text
@@ -147,8 +147,9 @@ def test_criterion_4_conservation_every_event(mixed_corpus):
         # would have surfaced as a violation in the sweep
         assert violations == []
         assert all(rep.final_sum == "1" for _, _, rep in runs if rep.terminated)
-        with pytest.raises(SafetyViolation, match="credit sum"):
-            run_scenario(golden("sec6"), seed=1, mutations=("a5-keep-inmap",))
+        run = run_scenario(golden("sec6"), seed=1, mutations=("a5-keep-inmap",))
+        assert re.search("credit sum", str(run.violation))
+        assert run.cell[0].startswith("safety:")
 
 
 def test_criterion_5_liveness_and_tree_heights(mixed_corpus):
@@ -162,7 +163,7 @@ def test_criterion_5_liveness_and_tree_heights(mixed_corpus):
             assert rep.height_at_announce == 1
         for seed in range(150):
             scn = gen_random_scenario(seed, n_nodes=3 + seed % 28, failure_free=True)
-            rep, _ = run_scenario(scn, seed, collect_trace=False)
+            rep = run_scenario(scn, seed, collect_trace=False).report
             assert rep.terminated == "strong" and not rep.horizon_hit
             assert rep.height_at_announce == 1
         for name in ("sec6_pu", "b4_cluster"):
@@ -179,7 +180,7 @@ def test_criterion_6_message_counts_within_bounds(mixed_corpus):
             scn = golden(name)
             spec = EXPECTED[name]
             horizon = scn.horizon * spec.get("horizon_multiplier", 1)
-            rep, _ = run_scenario(scn, seed=spec["seed"], horizon=horizon)
+            rep = run_scenario(scn, seed=spec["seed"], horizon=horizon).report
             assert rep.counters == spec["counters"]
             assert_bounds(rep.bounds)
 
@@ -187,14 +188,14 @@ def test_criterion_6_message_counts_within_bounds(mixed_corpus):
 def test_criterion_7_persistent_user_forces_weak():
     with criterion(7, "four-cluster user: weak now, strong only once it leaves"):
         scn = golden("b4_cluster")
-        rep, _ = run_scenario(scn, seed=1, horizon=scn.horizon * 10)
+        rep = run_scenario(scn, seed=1, horizon=scn.horizon * 10).report
         assert rep.terminated == "weak" and rep.announcer == 1
         # the queue drained long before the stretched horizon: nothing is
         # left that could ever upgrade the verdict
         assert not rep.horizon_hit
         assert rep.end_time < scn.horizon * 10
         twin = golden("b4_cluster_nopu")
-        rep2, _ = run_scenario(twin, seed=1)
+        rep2 = run_scenario(twin, seed=1).report
         assert rep2.terminated == "strong"
         assert rep2.announce_time == rep2.ground_truth == 20.0
 
@@ -203,7 +204,7 @@ def test_criterion_8_reference_detector_agrees():
     with criterion(8, "reference detector agrees on ground truth, 100 scenarios"):
         for seed in range(100):
             scn = gen_random_scenario(seed, n_nodes=3 + seed % 12, failure_free=True)
-            rep, _ = run_scenario(scn, seed, collect_trace=False)
+            rep = run_scenario(scn, seed, collect_trace=False).report
             ref = run_reference(scn, seed)
             assert ref.ground_truth == rep.ground_truth, f"seed {seed}"
             assert rep.announce_time >= rep.ground_truth
@@ -215,13 +216,12 @@ def test_criterion_9_replay_is_bit_identical():
         for name in ("sec6", "sec6_pu"):
             scn_text = (GOLDENS / f"{name}.scn").read_text()
             scn = load_scenario(scn_text)
-            rep1, trace1 = run_scenario(scn, seed=1)
-            rep2, trace2 = run_scenario(scn, seed=1)
-            assert trace1 == trace2
-            assert asdict(rep1) == asdict(rep2)
-            rendered = tracefile.render_trace(scn_text, 1, trace1)
-            assert asdict(tracefile.replay(rendered)) == asdict(rep1)
+            one, two = run_scenario(scn, seed=1), run_scenario(scn, seed=1)
+            assert one.engine.trace == two.engine.trace
+            assert asdict(one.report) == asdict(two.report)
+            rendered = tracefile.render_trace(scn_text, 1, one.engine.trace)
+            assert asdict(tracefile.replay(rendered)) == asdict(one.report)
         evented = gen_random_scenario(5, n_nodes=12)
-        _, t1 = run_scenario(evented, seed=5)
-        _, t2 = run_scenario(evented, seed=5)
-        assert t1 == t2
+        one, two = run_scenario(evented, seed=5), run_scenario(evented, seed=5)
+        assert one.violation is None
+        assert one.engine.trace == two.engine.trace

@@ -363,6 +363,13 @@ def test_outcome_classes_each_run_with_its_detail(nodes, report, err, cell):
     assert outcome(nodes, ONE, report, err) == cell
 
 
-def test_a_silent_run_whose_books_allow_an_announcement_fits_no_class():
-    with pytest.raises(ValueError, match="fits no class: exec 1 hold=1$"):
-        outcome(executive(hold=ONE), ONE, ended(), None)
+def test_a_silent_run_whose_books_allow_an_announcement_is_weak_armed():
+    assert outcome(executive(hold=ONE), ONE, ended(), None) == (
+        "silent:weak-armed",
+        "exec 1 hold=1",
+    )
+    armed = executive(hold=ONE, weak_deadline=63.0)
+    assert outcome(armed, ONE, ended(horizon_hit=True), None) == (
+        "silent:weak-armed",
+        "exec 1 hold=1 weak_deadline=63; horizon reached",
+    )

@@ -83,7 +83,8 @@ def test_a_strong_run_prints_no_class_line(capsys):
             SEC6_PU,
             ("--horizon", "60"),
             0,
-            "class: silent a silent run fits no class: exec 1 hold=13/20",
+            "class: silent:weak-armed exec 1 hold=13/20 weak_deadline=63;"
+            " horizon reached",
         ),
     ],
 )

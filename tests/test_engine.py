@@ -5,6 +5,7 @@ import gc
 import itertools
 import json
 import random
+import re
 import types
 import weakref
 from pathlib import Path
@@ -34,8 +35,9 @@ def run_golden(name):
         if "horizon_multiplier" in spec
         else None
     )
-    report, trace = run_scenario(scn, seed=spec["seed"], horizon=horizon)
-    return spec, report, trace
+    run = run_scenario(scn, seed=spec["seed"], horizon=horizon)
+    assert run.violation is None
+    return spec, run.report, run.engine.trace
 
 
 @pytest.mark.parametrize("name", sorted(k for k in EXPECTED if k != "comment"))
@@ -118,27 +120,28 @@ def test_cluster_chain_without_pu_is_strong():
 
 def test_same_seed_same_trace_bit_for_bit():
     scn = gen_random_scenario(7)
-    a_rep, a_trace = run_scenario(scn, seed=7)
-    b_rep, b_trace = run_scenario(scn, seed=7)
-    assert a_trace == b_trace
-    assert a_rep == b_rep
+    a, b = run_scenario(scn, seed=7), run_scenario(scn, seed=7)
+    assert a.violation is None
+    assert a.engine.trace == b.engine.trace
+    assert a.report == b.report
 
 
 def test_different_seed_changes_delivery_times():
     scn = gen_random_scenario(7)
     assert scn.delay[0] < scn.delay[1], "generator should produce a delay range"
-    _, a_trace = run_scenario(scn, seed=7)
-    _, b_trace = run_scenario(scn, seed=8)
-    assert a_trace != b_trace
+    a, b = run_scenario(scn, seed=7), run_scenario(scn, seed=8)
+    assert a.violation is None and b.violation is None
+    assert a.engine.trace != b.engine.trace
 
 
 def test_trace_does_not_perturb_the_run():
     scn = gen_random_scenario(11)
-    with_trace, lines = run_scenario(scn, seed=11, collect_trace=True)
-    without, nolines = run_scenario(scn, seed=11, collect_trace=False)
-    assert nolines == []
-    assert with_trace == without
-    assert lines
+    traced = run_scenario(scn, seed=11, collect_trace=True)
+    untraced = run_scenario(scn, seed=11, collect_trace=False)
+    assert untraced.engine.trace == []
+    assert traced.violation is None
+    assert traced.report == untraced.report
+    assert traced.engine.trace
 
 
 # --- message reordering ------------------------------------------------------
@@ -189,10 +192,11 @@ def test_channel_is_not_fifo_between_a_fixed_pair():
     # swapped.  Scanning a handful of seeds keeps this deterministic.
     scn = load_scenario(REORDER)
     for seed in range(40):
-        _, trace = run_scenario(scn, seed=seed)
+        run = run_scenario(scn, seed=seed)
+        assert run.violation is None
         arrivals = [
             ln.split("|")[3].split(",")[0]
-            for ln in trace
+            for ln in run.engine.trace
             if "|1|B2|PaN(" in ln
         ]
         if arrivals == ["PaN(4", "PaN(3"]:
@@ -236,23 +240,21 @@ at 7 pu-disappear 5
 
 
 def test_parcel_to_dark_parent_returns_to_escrow_and_retries():
-    scn = load_scenario(DARK_PARENT)
-    report, trace = run_scenario(scn, seed=1)
-    text = "\n".join(trace)
+    run = run_scenario(load_scenario(DARK_PARENT), seed=1)
+    text = "\n".join(run.engine.trace)
     assert "escrow-return" in text
     assert "re-sent" in text
-    assert report.counters["drop"] == 1
-    assert report.counters["retry"] == 1
-    assert report.terminated == "strong"
-    assert report.final_sum == "1"
+    assert run.report.counters["drop"] == 1
+    assert run.report.counters["retry"] == 1
+    assert run.report.terminated == "strong"
+    assert run.report.final_sum == "1"
 
 
 def test_crashed_node_never_recovers():
     text = DARK_PARENT.replace("at 4.5 pu-appear 5", "at 4.5 crash 1").replace(
         "at 7 pu-disappear 5", "at 7 recover 1"
     )
-    scn = load_scenario(text)
-    report, trace = run_scenario(scn, seed=1)
+    report = run_scenario(load_scenario(text), seed=1).report
     assert report.terminated is None
     assert any("recover on crashed node 1" in a for a in report.anomalies)
     assert report.final_sum == "1"
@@ -298,9 +300,9 @@ def test_moved_claim_on_a_reactivated_node_is_cancelled():
     # announcement can ever happen. Seed 4 hits exactly this interleaving.
     scn = gen_random_scenario(4, n_nodes=7)
     assert not scn.events
-    rep, trace = run_scenario(scn, 4)
-    assert rep.terminated == "strong"
-    assert any("claim-cancel->" in ln for ln in trace)
+    run = run_scenario(scn, 4)
+    assert run.report.terminated == "strong"
+    assert any("claim-cancel->" in ln for ln in run.engine.trace)
 
 
 def test_second_announcement_is_a_safety_violation():
@@ -349,7 +351,7 @@ def test_every_event_is_checked(monkeypatch):
     runs.append((gen_random_scenario(5, n_nodes=100, failure_free=True), 5))
     for scn, seed in runs:
         calls.update(dict.fromkeys(names, 0))
-        report, _ = run_scenario(scn, seed, collect_trace=False)
+        report = run_scenario(scn, seed, collect_trace=False).report
         assert report.events_processed > 0
         assert calls == dict.fromkeys(names, report.events_processed), seed
 
@@ -374,6 +376,11 @@ def test_an_engine_is_freed_without_the_cyclic_collector():
             ref = weakref.ref(eng)
             del eng
             assert ref() is None, (seed, steps)
+        # A run that run_scenario hands back with its violation.
+        run = run_scenario(golden("sec6"), seed=1, mutations=("a5-keep-inmap",))
+        ref = weakref.ref(run.engine)
+        del run
+        assert ref() is None
     finally:
         if was_enabled:
             gc.enable()
@@ -419,22 +426,25 @@ def test_one_ctx_serves_every_handler_call():
 
 
 def test_inmap_mutant_is_caught_by_the_conservation_check():
-    with pytest.raises(SafetyViolation, match="credit sum"):
-        run_scenario(golden("sec6"), seed=1, mutations=("a5-keep-inmap",))
+    run = run_scenario(golden("sec6"), seed=1, mutations=("a5-keep-inmap",))
+    assert re.search("credit sum", str(run.violation))
+    assert run.cell[0].startswith("safety:")
 
 
 def test_announce_mutant_is_caught_at_announcement():
     scn = gen_random_scenario(1)
-    run_scenario(scn, seed=1)  # healthy twin passes
-    with pytest.raises(SafetyViolation, match="strong announced"):
-        run_scenario(scn, seed=1, mutations=("c2-skip-hold-check",))
+    assert run_scenario(scn, seed=1).violation is None  # healthy twin passes
+    run = run_scenario(scn, seed=1, mutations=("c2-skip-hold-check",))
+    assert re.search("strong announced", str(run.violation))
+    assert run.cell[0].startswith("safety:")
 
 
 def test_mutations_belong_to_one_engine():
     # Two runs stepped in turn in one process: the mutant fails exactly as
     # it does alone, and its mutation never reaches the clean run.
-    with pytest.raises(SafetyViolation) as alone:
-        run_scenario(golden("sec6"), seed=1, mutations=("a5-keep-inmap",))
+    alone = run_scenario(golden("sec6"), seed=1, mutations=("a5-keep-inmap",))
+    assert isinstance(alone.violation, SafetyViolation)
+    assert alone.cell[0].startswith("safety:")
     clean = Engine(golden("sec6"), seed=1)
     mutant = Engine(golden("sec6"), seed=1, mutations=("a5-keep-inmap",))
     running, failure = [clean, mutant], None
@@ -447,7 +457,7 @@ def test_mutations_belong_to_one_engine():
                 assert eng is mutant
                 failure = e
                 running.remove(eng)
-    assert str(failure) == str(alone.value)
+    assert str(failure) == str(alone.violation)
     assert clean.announce[0] == "strong"
 
 
@@ -466,7 +476,7 @@ def test_role_addressed_message_waits_for_an_executive():
     # Seed 164 sends role-addressed messages while the executive role is
     # in transit; delivery requeues them until a holder exists.
     scn = gen_random_scenario(164, n_nodes=3 + 164 % 28)
-    report, _ = run_scenario(scn, 164, collect_trace=False)
+    report = run_scenario(scn, 164, collect_trace=False).report
     assert report.counters["role-requeue"] == 15
     assert report.terminated is None
     assert not report.horizon_hit
@@ -528,13 +538,13 @@ def test_role_addressed_send_draws_toward_a_node_zero_executive(monkeypatch):
 
     monkeypatch.setattr(Engine, "_enqueue_send", spy_send)
     monkeypatch.setattr(Draws, "delay", spy_delay)
-    report, _ = run_scenario(load_scenario(NODE_ZERO_EXECUTIVE), seed=1)
+    report = run_scenario(load_scenario(NODE_ZERO_EXECUTIVE), seed=1).report
     assert [(s, d) for s, d, kind in draws if kind is PaN] == [(1, 0)]
     assert report.terminated == "weak"
 
 
 def test_horizon_cuts_the_run_and_reports_it():
-    report, _ = run_scenario(golden("sec6"), seed=1, horizon=3.0)
+    report = run_scenario(golden("sec6"), seed=1, horizon=3.0).report
     assert report.horizon_hit
     assert report.terminated is None
     assert report.end_time == 3.0

@@ -26,7 +26,7 @@ def quiet_scenario(seed):
 @pytest.mark.parametrize("seed", range(25))
 def test_ground_truth_agrees_with_main_engine(seed):
     scn = quiet_scenario(seed)
-    rep, _ = run_scenario(scn, seed, collect_trace=False)
+    rep = run_scenario(scn, seed, collect_trace=False).report
     ref = run_reference(scn, seed)
     assert ref.ground_truth == rep.ground_truth
 
@@ -43,7 +43,7 @@ def test_reference_never_announces_early(seed):
 def test_reference_on_the_walkthrough():
     scn = load_scenario((GOLDENS / "sec6.scn").read_text())
     ref = run_reference(scn, 1)
-    rep, _ = run_scenario(scn, 1, collect_trace=False)
+    rep = run_scenario(scn, 1, collect_trace=False).report
     assert ref.ground_truth == rep.ground_truth == 14.5
     assert ref.announce_time >= 14.5
 

@@ -43,8 +43,7 @@ def _checked(name: str) -> Engine:
 
 def _run(seed: int):
     scn = load_scenario((REGRESSIONS / f"fuzz_{seed}.scn").read_text())
-    report, _ = run_scenario(scn, seed, collect_trace=False)
-    return scn, report
+    return scn, run_scenario(scn, seed, collect_trace=False).report
 
 
 @pytest.mark.parametrize(

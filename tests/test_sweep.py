@@ -5,8 +5,9 @@ four corpora of tests/outcomes.py: mixed seeds 1000..2999 at 3..30 nodes
 with the full event mix (the grid's variant 0), mixed runs at N = 60 and
 N = 100, and failure-free runs at N = 100.  Every run must end as
 tests/outcomes.tsv says, so a fix or a new gap shows here by seed; the
-silent runs it pins are the liveness gaps of ROADMAP.md item 4.  On top
-of that, no run may break safety, and every failure-free run announces.
+silent runs it pins are the liveness gaps of the ROADMAP.md item "A run
+whose executive is up must announce".  On top of that, no run may break
+safety, and every failure-free run announces.
 """
 
 import pytest

@@ -13,8 +13,9 @@ SEC6 = (Path(__file__).resolve().parent.parent / "goldens" / "sec6.scn").read_te
 
 
 def sec6_trace() -> str:
-    _, lines = run_scenario(load_scenario(SEC6), seed=1)
-    return tracefile.render_trace(SEC6, 1, lines)
+    run = run_scenario(load_scenario(SEC6), seed=1)
+    assert run.violation is None
+    return tracefile.render_trace(SEC6, 1, run.engine.trace)
 
 
 @pytest.mark.parametrize(
